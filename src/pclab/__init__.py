@@ -68,6 +68,7 @@ from .solver import (
     pc_bounds,
     pc_lower_bound,
     pc_upper_bound,
+    tree_proper_coloring,
 )
 from .constructions import (
     ClassificationVerdict,
@@ -82,7 +83,6 @@ from .constructions import (
     color_complement_diam_ge4,
     color_complement_with_trivial_component,
     extend_strong_coloring,
-    tree_proper_coloring,
 )
 from .census import (
     CensusReport,

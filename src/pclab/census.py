@@ -83,9 +83,10 @@ class CensusReport:
         }
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
-
-def _g6(g: Graph) -> str:
-    return graph6_encode(g)
+    def mark_cutoff(self, g: Graph) -> None:
+        """A per-graph budget ran out on g: the report can no longer pass."""
+        self.complete = False
+        self.violations.append(f"budget exhausted on {graph6_encode(g)}")
 
 
 def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
@@ -100,8 +101,7 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
         report.qualifying += 1
         result = exact_pc(g, budget=budget)
         if not result.exhausted:
-            report.complete = False
-            report.violations.append(f"budget exhausted on {_g6(g)}")
+            report.mark_cutoff(g)
             continue
         report.pc_histogram[result.value] = report.pc_histogram.get(result.value, 0) + 1
         probes += result.stats["probes"] if result.stats else 0
@@ -109,9 +109,9 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
         verdict = classify_pc_n_minus_2(g)
         hit = result.value == n - 2
         if hit != verdict.matches:
-            report.classification_mismatches.append(_g6(g))
+            report.classification_mismatches.append(graph6_encode(g))
         elif hit:
-            report.classification_matches.append(_g6(g))
+            report.classification_matches.append(graph6_encode(g))
     report.work = {"graphs": report.total_graphs, "probes": probes,
                    "assignments": assignments}
     return report
@@ -133,11 +133,10 @@ def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
         rg = exact_pc(g, budget=budget)
         rh = exact_pc(h, budget=budget)
         if not (rg.exhausted and rh.exhausted):
-            report.complete = False
-            report.violations.append(f"budget exhausted on {_g6(g)}")
+            report.mark_cutoff(g)
             continue
         total = rg.value + rh.value
-        g6 = _g6(g)
+        g6 = graph6_encode(g)
         report.ng_pairs.append({"graph6": g6, "pc": rg.value,
                                 "pc_complement": rh.value, "sum": total})
         involved = are_isomorphic(g, reference) or are_isomorphic(h, reference)
@@ -171,10 +170,10 @@ def _sweep_prop37(n: int, report: CensusReport) -> None:
         try:
             built = color_complement_with_trivial_component(g)
         except ConstructionError as exc:
-            report.violations.append(f"{_g6(g)}: {exc}")
+            report.violations.append(f"{graph6_encode(g)}: {exc}")
             continue
         if built.coloring.k > 2:
-            report.violations.append(f"{_g6(g)}: used {built.coloring.k} colors")
+            report.violations.append(f"{graph6_encode(g)}: used {built.coloring.k} colors")
         if built.discrepancy:
             report.discrepancies += 1
 
@@ -221,20 +220,18 @@ def run_construction_sweep(n: int, check: str,
                 report.qualifying += 1
                 result = exact_pc(g, budget=budget)
                 if not result.exhausted:
-                    report.complete = False
-                    report.violations.append(f"budget exhausted on {_g6(g)}")
+                    report.mark_cutoff(g)
                 elif result.value != 2:
-                    report.violations.append(f"{_g6(g)}: pc {result.value} != 2")
+                    report.violations.append(f"{graph6_encode(g)}: pc {result.value} != 2")
                 continue
         except BudgetExceededError:
-            report.complete = False
-            report.violations.append(f"budget exhausted on {_g6(g)}")
+            report.mark_cutoff(g)
             continue
         except ConstructionError as exc:
-            report.violations.append(f"{_g6(g)}: {exc}")
+            report.violations.append(f"{graph6_encode(g)}: {exc}")
             continue
         if built.coloring.k > 2:
-            report.violations.append(f"{_g6(g)}: used {built.coloring.k} colors")
+            report.violations.append(f"{graph6_encode(g)}: used {built.coloring.k} colors")
         if built.discrepancy:
             report.discrepancies += 1
     report.work = {"graphs": report.total_graphs}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import BudgetExceededError, ColoringFormatError, PreconditionError
-from .graph import Graph, _bits, is_connected
+from .graph import Graph, _bits, bfs_distances, is_connected
 
 #: default work budget (node expansions) for exhaustive per-pair enumeration
 DEFAULT_PATH_BUDGET = 10**6
@@ -97,25 +97,36 @@ class ConnectivityCheck:
 
 
 class _View:
-    """Dense color matrix + sorted neighbor lists for the search loops."""
+    """Dense color matrix + sorted neighbor lists for the search loops.
 
-    __slots__ = ("n", "k", "col", "nbr")
+    The matrix holds each color's rank 1..k among the k colors actually used,
+    so color bitmasks stay within m bits whatever the declared color count;
+    ``orig[rank]`` is the color itself.
+    """
+
+    __slots__ = ("n", "k", "col", "nbr", "orig")
 
     def __init__(self, g: Graph, coloring: EdgeColoring):
         if len(coloring.assignment) != g.m:
             raise ColoringFormatError(
                 f"coloring has {len(coloring.assignment)} edges, graph has {g.m}")
         n = g.n
+        orig = sorted(set(coloring.assignment.values()))
+        rank = {c: i for i, c in enumerate(orig, start=1)}
         col = [[0] * n for _ in range(n)]
         for u, v in g.edges:
             c = coloring.assignment.get((u, v))
             if c is None:
                 raise ColoringFormatError(f"edge ({u},{v}) is uncolored")
-            col[u][v] = col[v][u] = c
+            col[u][v] = col[v][u] = rank[c]
         self.n = n
-        self.k = coloring.k
+        self.k = len(orig)
         self.col = col
         self.nbr = [list(_bits(g.adj[v])) for v in range(n)]
+        self.orig = (0, *orig)
+
+    def path(self, vertices: list[int], ranks: list[int]) -> ProperPath:
+        return ProperPath(tuple(vertices), tuple(self.orig[c] for c in ranks))
 
 
 def is_proper_path(g: Graph, coloring: EdgeColoring, sequence: Iterable[int]) -> PathCheck:
@@ -221,16 +232,15 @@ def _depth_limited(view: _View, u: int, v: int, reach: list[int], limit: int) ->
         return False
 
     if go(u, 0, limit, 1 << u):
-        return ProperPath(tuple(path), tuple(colors))
+        return view.path(path, colors)
     return None
 
 
-def _find_path(view: _View, u: int, v: int, dist: Optional[tuple[int, ...]] = None,
+def _find_path(view: _View, u: int, v: int, dist: tuple[int, ...],
                reach: Optional[list[int]] = None) -> Optional[ProperPath]:
+    """dist: plain BFS distances from u."""
     if view.col[u][v]:
-        return ProperPath((u, v), (view.col[u][v],))
-    if dist is None:
-        dist = _plain_distances(view, u)
+        return view.path([u, v], [view.col[u][v]])
     if dist[v] < 0:
         return None
     if reach is None:
@@ -244,27 +254,11 @@ def _find_path(view: _View, u: int, v: int, dist: Optional[tuple[int, ...]] = No
     return None
 
 
-def _plain_distances(view: _View, root: int) -> tuple[int, ...]:
-    dist = [-1] * view.n
-    dist[root] = 0
-    queue = [root]
-    while queue:
-        nxt = []
-        for w in queue:
-            for x in view.nbr[w]:
-                if dist[x] < 0:
-                    dist[x] = dist[w] + 1
-                    nxt.append(x)
-        queue = nxt
-    return tuple(dist)
-
-
 def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Optional[ProperPath]:
     """Shortest proper u-v path, lexicographically least among those; None if none exists."""
     if u == v:
         raise ValueError("endpoints must be distinct")
-    view = _View(g, coloring)
-    return _find_path(view, u, v)
+    return _find_path(_View(g, coloring), u, v, bfs_distances(g, u))
 
 
 def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
@@ -284,7 +278,7 @@ def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
             if not fwd[u] >> v & 1:
                 return ConnectivityCheck(False, (u, v))
             if dist is None:
-                dist = _plain_distances(view, u)
+                dist = bfs_distances(g, u)
             if v not in back:
                 back[v] = _back_reach(view, v)
             if _find_path(view, u, v, dist, back[v]) is None:
@@ -342,7 +336,8 @@ def endpoint_color_pairs(g: Graph, coloring: EdgeColoring, u: int, v: int,
     pairs: set[tuple[int, int]] = set()
     _enumerate_paths(view, u, v, _Budget(budget),
                      lambda colors: pairs.add((colors[0], colors[-1])))
-    return frozenset(pairs)
+    orig = view.orig
+    return frozenset((orig[s], orig[e]) for s, e in pairs)
 
 
 class _StrongPairFound(Exception):

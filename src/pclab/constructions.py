@@ -1,9 +1,9 @@
 """Constructive colorings of complements driven by diameter and triangle-freeness.
 
-Each construction colors the complement of its input with two colors (trees
-get their own exact coloring) and re-verifies the certificate before
-returning it; extra complement edges outside the spanning structure a proof
-colors get color 2, which cannot break any certified path.
+Each construction colors the complement of its input with two colors and
+re-verifies the certificate before returning it; extra complement edges
+outside the spanning structure a proof colors get color 2, which cannot break
+any certified path.
 """
 from __future__ import annotations
 
@@ -97,35 +97,6 @@ def _far_root(g: Graph, target_ecc: int) -> int:
     raise AssertionError("no vertex realizes the diameter")
 
 
-def tree_proper_coloring(t: Graph) -> EdgeColoring:
-    """Proper edge coloring of a tree with exactly max-degree colors.
-
-    Root-down greedy: each vertex's child edges avoid the parent edge color,
-    so every tree path is proper.
-    """
-    if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
-        raise PreconditionError("input must be a tree on >= 2 vertices")
-    delta = t.max_degree
-    assignment: dict[tuple[int, int], int] = {}
-    stack = [(0, -1, 0)]  # vertex, parent, color of parent edge
-    while stack:
-        v, parent, pcolor = stack.pop()
-        c = 0
-        for w in _bits(t.adj[v]):
-            if w == parent:
-                continue
-            c += 1
-            if c == pcolor:
-                c += 1
-            assignment[(v, w) if v < w else (w, v)] = c
-            stack.append((w, v, c))
-    coloring = EdgeColoring(delta, assignment)
-    check = is_proper_connected(t, coloring)
-    if not check.ok:  # pragma: no cover - proper edge colorings always pass
-        raise ConstructionError(f"tree coloring failed at pair {check.witness}")
-    return coloring
-
-
 def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
                            coloring: EdgeColoring) -> EdgeColoring:
     """Extend a strong coloring of a core subgraph to h plus <= 2 outside vertices.
@@ -146,7 +117,6 @@ def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
     if bad:
         raise PreconditionError(f"core coloring refers to non-edges: {bad[:3]}")
     sub, idx = induced_subgraph(h, core_set)
-    back = {i: v for v, i in idx.items()}
     sub_edges = {}
     for (u, v), c in coloring.assignment.items():
         if u not in idx or v not in idx:
@@ -176,8 +146,8 @@ def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
             path = find_proper_path(core_graph, core_coloring, idx[u1], idx[u2])
             if path is None:  # pragma: no cover - core is proper connected
                 raise ConstructionError("core claims connectivity but has no path")
-            chosen[_key(u1, v1)] = _least_color_avoiding(coloring.k, path.start_color)
-            chosen[_key(u2, v2)] = _least_color_avoiding(coloring.k, path.end_color)
+            chosen[_key(u1, v1)] = _least_color_avoiding(path.start_color)
+            chosen[_key(u2, v2)] = _least_color_avoiding(path.end_color)
     elif len(outside) == 1:
         chosen[_key(nbrs[0][0], outside[0])] = 1
     assignment.update(chosen)
@@ -197,7 +167,7 @@ def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _least_color_avoiding(k: int, banned: int) -> int:
+def _least_color_avoiding(banned: int) -> int:
     return 2 if banned == 1 else 1
 
 

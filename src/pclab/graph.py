@@ -268,24 +268,6 @@ def bridge_profile(g: Graph) -> BridgeProfile:
     return BridgeProfile(tuple(bridges), max(incident, default=0) if g.n else 0)
 
 
-def _is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in _bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist."""
     color = [-1] * g.n
@@ -319,7 +301,7 @@ def structure_flags(g: Graph) -> StructureFlags:
     return StructureFlags(
         connected=connected,
         complete=complete,
-        bipartite=_is_bipartite(g),
+        bipartite=bipartition(g) is not None,
         triangle_free=triangle_free,
         two_connected=two_connected,
     )

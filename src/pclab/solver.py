@@ -1,7 +1,10 @@
 """Exact proper connection numbers with verified certificates.
 
-For each candidate k the search runs a seeded probe phase (structured
-colorings, then random ones), then an exhaustive pass over canonical color
+The upper bound comes by proof where one applies: a graph with a Hamiltonian
+path has pc <= 2 (Borozan et al., Discrete Math. 312, 2012), decided by an
+exact DP for n <= 12.  Otherwise it is the better of a spanning-tree coloring
+and a greedy proper edge coloring.  For each k below the upper bound the
+search runs seeded random probes, then an exhaustive pass over canonical color
 assignments, where color j+1 may first appear only after color j.  Refutation
 requires the exhaustive pass to complete; a budget cutoff is reported as
 "unknown", never silently coerced into an answer.
@@ -11,18 +14,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .coloring import EdgeColoring, has_strong_property, is_proper_connected
-from .errors import BudgetExceededError, PreconditionError
-from .graph import (
-    Graph,
-    _bits,
-    bfs_distances,
-    bipartition,
-    bridge_profile,
-    is_connected,
-)
+from .errors import BudgetExceededError, ConstructionError, PreconditionError
+from .graph import Graph, _bits, bfs_distances, bridge_profile, is_connected
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class LowerBound:
 @dataclass(frozen=True)
 class UpperBound:
     value: int
-    tag: str  # spanning_tree_delta | greedy_proper_edge_coloring | star_exact
+    tag: str  # traceable | spanning_tree_delta | greedy_proper_edge_coloring | star_exact
     certificate: EdgeColoring
 
 
@@ -114,48 +110,39 @@ def _bfs_tree_masks(g: Graph, root: int) -> list[int]:
     return masks
 
 
-def _improve_tree(g: Graph, masks: list[int]) -> None:
-    """Reattach tree leaves hanging off maximum-degree vertices when that helps."""
-    n = g.n
-    for _ in range(n * n):
-        deg = [m.bit_count() for m in masks]
-        delta = max(deg)
-        if delta <= 2:
-            return
-        moved = False
-        for v in range(n):
-            if deg[v] != delta:
-                continue
-            for u in _bits(masks[v]):
-                if deg[u] != 1:
-                    continue
-                for w in _bits(g.adj[u] & ~(1 << v)):
-                    if deg[w] + 1 < delta:
-                        masks[v] &= ~(1 << u)
-                        masks[u] = 1 << w
-                        masks[w] |= 1 << u
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
-            return
-
-
 def low_degree_spanning_tree(g: Graph) -> Graph:
-    """Heuristic spanning tree with small maximum degree (BFS + leaf reattachment)."""
-    best: list[int] | None = None
-    best_delta = g.n
-    for root in range(g.n):
-        masks = _bfs_tree_masks(g, root)
-        _improve_tree(g, masks)
-        delta = max(m.bit_count() for m in masks)
-        if delta < best_delta:
-            best, best_delta = masks, delta
-    assert best is not None
-    return Graph(g.n, tuple(best))
+    """The BFS tree of least maximum degree over all roots (least root on ties)."""
+    trees = (Graph(g.n, tuple(_bfs_tree_masks(g, root))) for root in range(g.n))
+    return min(trees, key=lambda t: t.max_degree)
+
+
+def tree_proper_coloring(t: Graph) -> EdgeColoring:
+    """Proper edge coloring of a tree with exactly max-degree colors.
+
+    Root-down greedy: each vertex's child edges avoid the parent edge color,
+    so every tree path is proper.
+    """
+    if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
+        raise PreconditionError("input must be a tree on >= 2 vertices")
+    delta = t.max_degree
+    assignment: dict[tuple[int, int], int] = {}
+    stack = [(0, -1, 0)]  # vertex, parent, color of parent edge
+    while stack:
+        v, parent, pcolor = stack.pop()
+        c = 0
+        for w in _bits(t.adj[v]):
+            if w == parent:
+                continue
+            c += 1
+            if c == pcolor:
+                c += 1
+            assignment[(v, w) if v < w else (w, v)] = c
+            stack.append((w, v, c))
+    coloring = EdgeColoring(delta, assignment)
+    check = is_proper_connected(t, coloring)
+    if not check.ok:  # pragma: no cover - proper edge colorings always pass
+        raise ConstructionError(f"tree coloring failed at pair {check.witness}")
+    return coloring
 
 
 def greedy_proper_edge_coloring(g: Graph) -> EdgeColoring:
@@ -175,6 +162,37 @@ def greedy_proper_edge_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(max(top, 1) if g.m else 0, assignment)
 
 
+#: largest order given the Hamiltonian-path bound: its DP keeps 2^n vertex sets
+_TRACEABLE_MAX_N = 12
+
+
+def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
+    """A path through every vertex, or None: a DP over all 2^n vertex sets."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    # ends[s]: the vertices at which a path visiting exactly the set s can end
+    ends = [0] * (full + 1)
+    for v in range(g.n):
+        ends[1 << v] = 1 << v
+    for s in range(1, full):
+        reach = 0
+        for v in _bits(ends[s]):
+            reach |= adj[v]
+        for w in _bits(reach & ~s):
+            ends[s | 1 << w] |= 1 << w
+    if not ends[full]:
+        return None
+    path = []
+    s, allowed = full, full
+    while s:  # walk back: each end has a neighbor ending the rest of the set
+        choice = ends[s] & allowed
+        v = (choice & -choice).bit_length() - 1
+        path.append(v)
+        s ^= 1 << v
+        allowed = adj[v]
+    return tuple(path)
+
+
 def _is_star(g: Graph) -> bool:
     return g.m == g.n - 1 and g.max_degree == g.n - 1 and g.n >= 3
 
@@ -184,24 +202,27 @@ def pc_upper_bound(g: Graph) -> UpperBound:
         raise PreconditionError("upper bound is defined for n >= 2")
     if not is_connected(g):
         raise PreconditionError("upper bound requires a connected graph")
-    from .constructions import tree_proper_coloring  # deferred: avoids import cycle
-
-    tree = low_degree_spanning_tree(g)
-    tree_coloring = tree_proper_coloring(tree)
-    delta = tree.max_degree
-    assignment = dict(tree_coloring.assignment)
-    for e in g.edges:
-        if e not in assignment:
-            assignment[e] = 1  # extra edges never break the tree's proper paths
-    tree_cert = EdgeColoring(delta, assignment)
-
-    greedy = greedy_proper_edge_coloring(g)
-    if greedy.k < delta:
-        value, tag, cert = greedy.k, "greedy_proper_edge_coloring", greedy
+    path = hamiltonian_path(g) if 3 <= g.n <= _TRACEABLE_MAX_N else None
+    if path is not None:
+        # proper along the path, so every pair is joined by a proper subpath
+        assignment = dict.fromkeys(g.edges, 1)
+        for i in range(1, g.n - 1, 2):
+            u, v = path[i], path[i + 1]
+            assignment[(u, v) if u < v else (v, u)] = 2
+        value, tag, cert = 2, "traceable", EdgeColoring(2, assignment)
     else:
-        value, tag, cert = delta, "spanning_tree_delta", tree_cert
-    if _is_star(g):
-        tag = "star_exact"
+        tree = low_degree_spanning_tree(g)
+        delta = tree.max_degree
+        assignment = dict(tree_proper_coloring(tree).assignment)
+        for e in g.edges:
+            assignment.setdefault(e, 1)  # extra edges never break the tree's proper paths
+        greedy = greedy_proper_edge_coloring(g)
+        if greedy.k < delta:
+            value, tag, cert = greedy.k, "greedy_proper_edge_coloring", greedy
+        else:
+            value, tag, cert = delta, "spanning_tree_delta", EdgeColoring(delta, assignment)
+        if _is_star(g):
+            tag = "star_exact"
     check = is_proper_connected(g, cert)
     if not check.ok:  # pragma: no cover - construction is provably valid
         raise AssertionError(f"upper bound certificate failed at pair {check.witness}")
@@ -224,32 +245,6 @@ class _Clock:
                 f"time budget exceeded during {stage}", stage=stage, stats=stats)
 
 
-def _structured_probes(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    edges = g.edges
-    from .constructions import tree_proper_coloring  # deferred import, see above
-
-    tree = low_degree_spanning_tree(g)
-    if tree.max_degree <= k:
-        base = tree_proper_coloring(tree).assignment
-        yield tuple(base.get(e, 1) for e in edges)
-    greedy = greedy_proper_edge_coloring(g)
-    if greedy.k <= k:
-        yield tuple(greedy.assignment[e] for e in edges)
-    elif k >= 2:
-        yield tuple((greedy.assignment[e] - 1) % k + 1 for e in edges)
-    if k >= 2:
-        sides = bipartition(g)
-        if sides is not None:
-            pos = [0] * g.n
-            for side in sides:
-                for i, v in enumerate(side):
-                    pos[v] = i
-            yield tuple((pos[u] + pos[v]) % 2 + 1 for u, v in edges)
-        for root in range(g.n):
-            dist = bfs_distances(g, root)
-            yield tuple(min(dist[u], dist[v]) % k + 1 for u, v in edges)
-
-
 def _verify(g: Graph, coloring: EdgeColoring, require_strong: bool) -> bool:
     if require_strong:
         return has_strong_property(g, coloring)
@@ -270,21 +265,7 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
     if k ** m > max(64, budget.probes // 4):
         seen: set[tuple[int, ...]] = set()
         rng = random.Random(f"{budget.seed}:{k}:{require_strong}")
-        probes_left = budget.probes
-        for colors in _structured_probes(g, k):
-            if probes_left <= 0:
-                break
-            if colors in seen:
-                continue
-            seen.add(colors)
-            probes_left -= 1
-            stats.probes += 1
-            clock.check(stage, stats)
-            coloring = EdgeColoring(k, dict(zip(edges, colors)))
-            if _verify(g, coloring, require_strong):
-                return coloring
-        while probes_left > 0:
-            probes_left -= 1
+        for _ in range(budget.probes):
             colors = tuple(rng.randint(1, k) for _ in range(m))
             if colors in seen:
                 continue

@@ -3,12 +3,14 @@ import json
 import pytest
 
 from pclab import (
+    SolverBudget,
     UnsupportedSizeError,
     are_isomorphic,
     complement,
     emit_report,
     exact_pc,
     graph6_decode,
+    graph6_encode,
     run_construction_sweep,
     run_ng_census,
     run_pc_census,
@@ -38,6 +40,14 @@ class TestPcCensus:
     def test_out_of_range(self):
         with pytest.raises(UnsupportedSizeError):
             run_pc_census(2)
+
+    def test_budget_cutoff_is_reported(self):
+        budget = SolverBudget(max_assignments=0, probes=0)
+        cut = [graph6_encode(g) for g in enumerate_connected(5)
+               if not exact_pc(g, budget=budget).exhausted]
+        report = run_pc_census(5, budget=budget)
+        assert cut and not report.complete and not report.passed
+        assert report.violations == [f"budget exhausted on {c}" for c in cut]
         with pytest.raises(UnsupportedSizeError):
             run_pc_census(8)
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -122,6 +123,30 @@ class TestIsProperConnected:
 
     def test_single_vertex(self):
         assert is_proper_connected(Graph(1, (0,)), EdgeColoring(0, {}))
+
+
+class TestDeclaredColorCount:
+    def test_huge_color_count_matches_normalized(self):
+        g = cycle_graph(8)
+        big = 10**9
+        assignment = {e: i % 2 + 1 for i, e in enumerate(g.edges)}
+        assignment[g.edges[3]] = big
+        coloring = EdgeColoring(big, assignment)
+        small = coloring.normalized()
+        back = {1: 1, 2: 2, 3: big}
+        start = time.perf_counter()
+        assert is_proper_connected(g, coloring) == is_proper_connected(g, small)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                path, ref = find_proper_path(g, coloring, u, v), find_proper_path(g, small, u, v)
+                assert (path is None) == (ref is None)
+                if ref is not None:
+                    assert path.vertices == ref.vertices
+                    assert path.colors == tuple(back[c] for c in ref.colors)
+                pairs = endpoint_color_pairs(g, coloring, u, v)
+                assert pairs == {(back[a], back[b]) for a, b in endpoint_color_pairs(g, small, u, v)}
+        assert has_strong_property(g, coloring) == has_strong_property(g, small)
+        assert time.perf_counter() - start < 2.0  # work must not grow with k
 
 
 class TestEndpointColorPairs:

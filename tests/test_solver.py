@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,9 @@ from pclab.generators import (
     star_graph,
     star_plus_edge,
 )
+
+from pclab import solver
+from pclab.solver import hamiltonian_path, low_degree_spanning_tree
 
 from conftest import brute_pc, random_connected_graph, random_tree
 
@@ -78,6 +82,50 @@ class TestBounds:
     def test_single_vertex_rejected(self):
         with pytest.raises(PreconditionError):
             pc_lower_bound(Graph(1, (0,)))
+
+
+def wheel(n: int) -> Graph:
+    """Hub 0 joined to every vertex of the cycle 1..n-1."""
+    rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)] + rim)
+
+
+class TestTraceableBound:
+    def test_hamiltonian_path_matches_permutation_oracle(self):
+        rng = random.Random(131)
+        traceable = 0
+        for trial in range(120):
+            n = rng.randint(1, 7)
+            g = random_tree(n, rng) if trial % 2 else random_connected_graph(n, rng)
+            expected = any(all(g.has_edge(p[i], p[i + 1]) for i in range(n - 1))
+                           for p in itertools.permutations(range(n)))
+            path = hamiltonian_path(g)
+            assert (path is not None) == expected, g
+            if path is not None:
+                traceable += 1
+                assert sorted(path) == list(range(n))
+                assert all(g.has_edge(path[i], path[i + 1]) for i in range(n - 1))
+        assert 0 < traceable < 120  # both outcomes are exercised
+
+    def test_traceable_beats_every_bfs_tree(self):
+        g = wheel(7)
+        assert low_degree_spanning_tree(g).max_degree >= 3
+        assert greedy_proper_edge_coloring(g).k >= 3
+        ub = pc_upper_bound(g)
+        assert ub.value == 2 and ub.tag == "traceable"
+        assert ub.certificate.k == 2 and is_proper_connected(g, ub.certificate)
+        stats = exact_pc(g).stats
+        assert stats["probes"] == stats["assignments"] == 0  # bounds meet: no search
+
+    def test_large_graph_skips_the_dp(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError(f"Hamiltonian-path DP called at n={g.n}")
+
+        monkeypatch.setattr(solver, "hamiltonian_path", refuse)
+        g = cycle_graph(40)
+        ub = pc_upper_bound(g)
+        assert ub.value == 2 and ub.tag == "spanning_tree_delta"
+        assert is_proper_connected(g, ub.certificate)
 
 
 class TestGreedyEdgeColoring:
