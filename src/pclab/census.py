@@ -95,7 +95,7 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
         raise UnsupportedSizeError(f"pc census supports 3 <= n <= 7, got {n}")
     report = CensusReport("pc_census", "histogram", n, 0, 0,
                           seed=(budget or DEFAULT_BUDGET).seed)
-    probes = assignments = 0
+    assignments = 0
     for g in enumerate_connected(n):
         report.total_graphs += 1
         report.qualifying += 1
@@ -104,7 +104,6 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
             report.mark_cutoff(g)
             continue
         report.pc_histogram[result.value] = report.pc_histogram.get(result.value, 0) + 1
-        probes += result.stats["probes"] if result.stats else 0
         assignments += result.stats["assignments"] if result.stats else 0
         verdict = classify_pc_n_minus_2(g)
         hit = result.value == n - 2
@@ -112,8 +111,7 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
             report.classification_mismatches.append(graph6_encode(g))
         elif hit:
             report.classification_matches.append(graph6_encode(g))
-    report.work = {"graphs": report.total_graphs, "probes": probes,
-                   "assignments": assignments}
+    report.work = {"graphs": report.total_graphs, "assignments": assignments}
     return report
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .generators import FAMILY_TAGS, FamilySpec, generate
 from .graph import bridge_profile, complement, diameter, structure_flags
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import GRAPH6_MAX_N, graph6_decode, graph6_encode
 from .solver import DEFAULT_BUDGET, SolverBudget, exact_pc
 
 EXIT_OK = 0
@@ -48,10 +49,15 @@ METHODS = {
 
 
 def _budget_from(args) -> SolverBudget:
-    seconds = getattr(args, "budget", None)
-    if seconds is None:
-        env = os.environ.get("PCLAB_BUDGET_SECS")
-        seconds = float(env) if env else DEFAULT_BUDGET.max_seconds
+    text, source = getattr(args, "budget", None), "--budget"
+    if text is None:
+        text, source = os.environ.get("PCLAB_BUDGET_SECS") or None, "PCLAB_BUDGET_SECS"
+    try:
+        seconds = DEFAULT_BUDGET.max_seconds if text is None else float(text)
+    except ValueError:
+        seconds = math.nan
+    if not seconds > 0:  # also true for nan
+        raise ValueError(f"{source} must be a number of seconds > 0, got {text!r}")
     seed = getattr(args, "seed", None)
     return SolverBudget(max_seconds=seconds,
                         seed=seed if seed is not None else DEFAULT_BUDGET.seed)
@@ -162,6 +168,8 @@ def _cmd_color_complement(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = tuple(int(p) for p in args.params.split(",")) if args.params else ()
+    if sum(params) > GRAPH6_MAX_N:  # the order of every family that takes parameters
+        raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {sum(params)}")
     g = generate(FamilySpec(args.family, params))
     print(graph6_encode(g))
     return EXIT_OK

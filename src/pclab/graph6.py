@@ -12,10 +12,13 @@ from typing import Iterable, Iterator
 from .errors import GraphFormatError, UnsupportedSizeError
 from .graph import Graph
 
+#: largest order with a one-byte graph6 size
+GRAPH6_MAX_N = 62
+
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > 62:
-        raise UnsupportedSizeError(f"graph6 supports n <= 62, got {g.n}")
+    if g.n > GRAPH6_MAX_N:
+        raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {g.n}")
     out = [chr(g.n + 63)]
     buf = 0
     nbits = 0

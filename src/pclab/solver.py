@@ -3,11 +3,11 @@
 The upper bound comes by proof where one applies: a graph with a Hamiltonian
 path has pc <= 2 (Borozan et al., Discrete Math. 312, 2012), decided by an
 exact DP for n <= 12.  Otherwise it is the better of a spanning-tree coloring
-and a greedy proper edge coloring.  For each k below the upper bound the
-search runs seeded random probes, then an exhaustive pass over canonical color
-assignments, where color j+1 may first appear only after color j.  Refutation
-requires the exhaustive pass to complete; a budget cutoff is reported as
-"unknown", never silently coerced into an answer.
+and a greedy proper edge coloring.  Each k below it is decided by one pass
+over the canonical color assignments (color j+1 first appears after color j;
+bridges at a shared vertex differ), each edge trying its colors in a seeded
+random order.  A refutation visits every canonical assignment; a budget cutoff
+is reported as "unknown", never silently coerced into an answer.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from .graph import Graph, _bits, bfs_distances, bridge_profile, is_connected
 
 @dataclass(frozen=True)
 class SolverBudget:
+    """Search limits (max_seconds=None: no time limit); seed orders the colors tried."""
     max_assignments: int = 5_000_000
     max_seconds: Optional[float] = 60.0
-    probes: int = 2000
     seed: int = 271828
 
 
@@ -34,13 +34,11 @@ DEFAULT_BUDGET = SolverBudget()
 
 @dataclass
 class SolverStats:
-    probes: int = 0
     assignments: int = 0
     elapsed_seconds: float = 0.0
 
     def to_json(self) -> dict:
         return {
-            "probes": self.probes,
             "assignments": self.assignments,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
@@ -237,7 +235,7 @@ class _Clock:
     __slots__ = ("deadline",)
 
     def __init__(self, max_seconds: Optional[float]):
-        self.deadline = time.monotonic() + max_seconds if max_seconds else None
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
 
     def check(self, stage: str, stats: SolverStats) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -253,57 +251,61 @@ def _verify(g: Graph, coloring: EdgeColoring, require_strong: bool) -> bool:
 
 def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
               stats: SolverStats, clock: _Clock) -> Optional[EdgeColoring]:
-    """A verified k-coloring, or None after exhausting the canonical space."""
-    edges = g.edges
-    m = len(edges)
+    """A verified k-coloring, or None after exhausting the canonical space.
+
+    If vx and vy are bridges, every x-y path uses them one after the other, so
+    they need distinct colors: this prunes and loses no solution.
+    """
+    m = g.m
     if m == 0:
         return EdgeColoring(0, {})
     stage = f"k={k}" + ("+strong" if require_strong else "")
     clock.check(stage, stats)
+    bridges = bridge_profile(g).bridges
+    nb = len(bridges)
+    order = bridges + tuple(sorted(set(g.edges).difference(bridges)))
+    rng = random.Random(f"{budget.seed}:{k}:{require_strong}")
+    at = [0] * g.n  # bit c: a bridge at this vertex has color c on the current branch
+    colors = [0] * m  # 0: uncolored
+    top = [0] * (m + 1)  # top[i]: the highest color among the first i edges
 
-    # tiny spaces go straight to enumeration
-    if k ** m > max(64, budget.probes // 4):
-        seen: set[tuple[int, ...]] = set()
-        rng = random.Random(f"{budget.seed}:{k}:{require_strong}")
-        for _ in range(budget.probes):
-            colors = tuple(rng.randint(1, k) for _ in range(m))
-            if colors in seen:
-                continue
-            seen.add(colors)
-            stats.probes += 1
-            if stats.probes % 64 == 0:
-                clock.check(stage, stats)
-            coloring = EdgeColoring(k, dict(zip(edges, colors)))
-            if _verify(g, coloring, require_strong):
-                return coloring
+    def options(i: int) -> list[int]:
+        taken = at[order[i][0]] | at[order[i][1]] if i < nb else 0
+        allowed = [c for c in range(1, min(top[i] + 1, k) + 1) if not taken >> c & 1]
+        rng.shuffle(allowed)
+        return allowed
 
-    # exhaustive pass over canonical assignments (first occurrences in order)
-    colors_buf = [0] * m
-    found: Optional[EdgeColoring] = None
-
-    def rec(i: int, used: int) -> bool:
-        nonlocal found
-        if i == m:
-            stats.assignments += 1
-            if stats.assignments > budget.max_assignments:
-                raise BudgetExceededError(
-                    f"assignment budget exceeded during {stage}", stage=stage, stats=stats)
-            if stats.assignments % 256 == 0:
-                clock.check(stage, stats)
-            coloring = EdgeColoring(k, dict(zip(edges, colors_buf)))
-            if _verify(g, coloring, require_strong):
-                found = coloring
-                return True
-            return False
-        top = used + 1 if used < k else k
-        for c in range(1, top + 1):
-            colors_buf[i] = c
-            if rec(i + 1, max(used, c)):
-                return True
-        return False
-
-    rec(0, 0)
-    return found
+    stack = [options(0)]  # stack[i]: the colors edge i has yet to try on this branch
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes % 256 == 0:  # counts dead ends too, not only assignments
+            clock.check(stage, stats)
+        i = len(stack) - 1
+        if i < nb:  # take back the bridge's color: no other bridge at u or v has it
+            u, v = order[i]
+            at[u] &= ~(1 << colors[i])
+            at[v] &= ~(1 << colors[i])
+        if not stack[i]:
+            colors[i] = 0
+            stack.pop()
+            continue
+        c = colors[i] = stack[i].pop()
+        top[i + 1] = max(top[i], c)
+        if i < nb:
+            at[u] |= 1 << c
+            at[v] |= 1 << c
+        if i + 1 < m:
+            stack.append(options(i + 1))
+            continue
+        stats.assignments += 1
+        if stats.assignments > budget.max_assignments:
+            raise BudgetExceededError(
+                f"assignment budget exceeded during {stage}", stage=stage, stats=stats)
+        coloring = EdgeColoring(k, dict(zip(order, colors)))
+        if _verify(g, coloring, require_strong):
+            return coloring
+    return None
 
 
 def exists_k_coloring(g: Graph, k: int, require_strong: bool = False,
@@ -323,9 +325,6 @@ def exists_k_coloring(g: Graph, k: int, require_strong: bool = False,
     return _search_k(g, k, require_strong, budget, stats, _Clock(budget.max_seconds))
 
 
-_EXACT_CACHE: dict[tuple, PcResult] = {}
-
-
 def exact_pc(g: Graph, require_strong: bool = False,
              budget: SolverBudget | None = None) -> PcResult:
     """Exact pc(g) with a verified certificate; pc of the one-vertex graph is 0.
@@ -336,22 +335,15 @@ def exact_pc(g: Graph, require_strong: bool = False,
     """
     if not is_connected(g):
         raise PreconditionError("pc is defined on connected graphs")
-    cacheable = budget is None
-    key = (g.adj, require_strong)
-    if cacheable and key in _EXACT_CACHE:
-        return _EXACT_CACHE[key]
     budget = budget or DEFAULT_BUDGET
     stats = SolverStats()
     clock = _Clock(budget.max_seconds)
     t0 = time.monotonic()
 
     if g.n == 1:
-        result = PcResult(0, EdgeColoring(0, {}), True, 0, "trivial",
-                          StrongResult(True, 0, EdgeColoring(0, {}), True) if require_strong else None,
-                          stats.to_json())
-        if cacheable:
-            _EXACT_CACHE[key] = result
-        return result
+        return PcResult(0, EdgeColoring(0, {}), True, 0, "trivial",
+                        StrongResult(True, 0, EdgeColoring(0, {}), True) if require_strong else None,
+                        stats.to_json())
 
     lower = pc_lower_bound(g)
     if lower.tag == "complete":
@@ -380,11 +372,8 @@ def exact_pc(g: Graph, require_strong: bool = False,
                                  budget, stats, clock)
 
     stats.elapsed_seconds = time.monotonic() - t0
-    result = PcResult(value, certificate, exhausted, lower.value, lower.tag,
-                      strong, stats.to_json())
-    if cacheable and exhausted and (strong is None or strong.exhausted):
-        _EXACT_CACHE[key] = result
-    return result
+    return PcResult(value, certificate, exhausted, lower.value, lower.tag,
+                    strong, stats.to_json())
 
 
 def _strong_variant(g: Graph, start_k: int, budget: SolverBudget,

@@ -42,7 +42,7 @@ class TestPcCensus:
             run_pc_census(2)
 
     def test_budget_cutoff_is_reported(self):
-        budget = SolverBudget(max_assignments=0, probes=0)
+        budget = SolverBudget(max_assignments=0)
         cut = [graph6_encode(g) for g in enumerate_connected(5)
                if not exact_pc(g, budget=budget).exhausted]
         report = run_pc_census(5, budget=budget)

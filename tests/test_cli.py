@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from pclab import exact_pc, format_coloring, graph6_decode, graph6_encode
+import pclab.cli
 from pclab.cli import main
 from pclab.generators import double_star, path_graph, star_graph
 from pclab.solver import exists_k_coloring
@@ -145,6 +146,17 @@ class TestGen:
                                capsys=capsys)
         assert code == 2 and "error" in err
 
+    def test_too_large_rejected_before_building(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"generate called with {spec}")
+
+        monkeypatch.setattr(pclab.cli, "generate", refuse)
+        for family, params in [("complete", "2000"), ("double_star", "40,23"),
+                               ("complete_multipartite", "30,30,3")]:
+            code, _, err = run_cli("gen", "--family", family, "--params", params,
+                                   capsys=capsys)
+            assert code == 2 and "n <= 62" in err
+
 
 class TestCensus:
     def test_ng_five(self, capsys, tmp_path):
@@ -179,6 +191,18 @@ class TestBudgetEnv:
         code, out, _ = run_cli("pc", graph6_encode(star_plus_edge(5)), capsys=capsys)
         assert code == 4
         assert kv(out)["exhausted"] == "false"
+
+    def test_budget_must_be_positive(self, capsys, monkeypatch):
+        from pclab.generators import star_plus_edge
+
+        code6 = graph6_encode(star_plus_edge(5))
+        for value in ("0", "-1", "nan"):
+            code, _, err = run_cli("pc", code6, "--budget", value, capsys=capsys)
+            assert code == 2 and "--budget" in err
+        for value in ("0", "nan", "soon"):
+            monkeypatch.setenv("PCLAB_BUDGET_SECS", value)
+            code, _, err = run_cli("pc", code6, capsys=capsys)
+            assert code == 2 and "PCLAB_BUDGET_SECS" in err
 
 
 def test_installed_entry_point_smoke():

@@ -8,6 +8,7 @@ from pclab import (
     Graph,
     PreconditionError,
     SolverBudget,
+    SolverStats,
     exact_pc,
     exists_k_coloring,
     greedy_proper_edge_coloring,
@@ -115,7 +116,7 @@ class TestTraceableBound:
         assert ub.value == 2 and ub.tag == "traceable"
         assert ub.certificate.k == 2 and is_proper_connected(g, ub.certificate)
         stats = exact_pc(g).stats
-        assert stats["probes"] == stats["assignments"] == 0  # bounds meet: no search
+        assert stats["assignments"] == 0  # bounds meet: no search
 
     def test_large_graph_skips_the_dp(self, monkeypatch):
         def refuse(g):
@@ -145,7 +146,27 @@ class TestExistsKColoring:
         assert found is not None and has_strong_property(cycle_graph(4), found)
 
     def test_claw_refutes_two(self):
-        assert exists_k_coloring(star_graph(4), 2) is None
+        # the claw's three bridges meet at the center: no two of them may share
+        # a color, so k=2 dies before any complete assignment
+        stats = SolverStats()
+        assert exists_k_coloring(star_graph(4), 2, stats=stats) is None
+        assert stats.assignments == 0
+
+    def test_clock_runs_where_no_assignment_completes(self):
+        # a 30-edge path whose end carries three more leaves: at k=3 every
+        # coloring of the path dies at the last vertex's four bridges
+        g = Graph.from_edges(34, [(i, i + 1) for i in range(30)] + [(30, 31), (30, 32), (30, 33)])
+        stats = SolverStats()
+        with pytest.raises(BudgetExceededError):
+            exists_k_coloring(g, 3, budget=SolverBudget(max_seconds=0.1), stats=stats)
+        assert stats.assignments == 0
+
+    def test_deep_search_needs_no_recursion(self):
+        n = 47
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if (u, v) != (0, 1)])
+        assert g.m == 1080
+        assert exists_k_coloring(g, 1) is None
 
     def test_p5_two(self):
         found = exists_k_coloring(path_graph(5), 2)
@@ -157,9 +178,9 @@ class TestExistsKColoring:
         assert all(1 <= c <= 3 for c in found.assignment.values())
 
     def test_budget_raises(self):
-        g = complete_multipartite(3, 3)
+        g = star_plus_edge(5)  # refuting k=2 takes 8 assignments
         with pytest.raises(BudgetExceededError):
-            exists_k_coloring(g, 2, budget=SolverBudget(max_assignments=2, probes=0))
+            exists_k_coloring(g, 2, budget=SolverBudget(max_assignments=2))
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
@@ -230,20 +251,30 @@ class TestExactPc:
 
     def test_budget_cutoff_reports_unknown(self):
         g = star_plus_edge(5)  # lower bound 2, pc 3: refuting k=2 needs enumeration
-        result = exact_pc(g, budget=SolverBudget(max_assignments=1, probes=0))
+        result = exact_pc(g, budget=SolverBudget(max_assignments=1))
         assert not result.exhausted
         assert result.certificate is not None
         assert is_proper_connected(g, result.certificate)
 
     def test_telemetry(self):
         result = exact_pc(star_plus_edge(5), budget=SolverBudget())
-        assert set(result.stats) == {"probes", "assignments", "elapsed_seconds"}
+        assert set(result.stats) == {"assignments", "elapsed_seconds"}
         assert result.stats["assignments"] > 0  # k=2 was refuted by enumeration
 
     def test_deterministic(self):
         g = random_connected_graph(6, random.Random(113))
         a, b = exact_pc(g), exact_pc(g)
         assert a.value == b.value and a.certificate == b.certificate
+
+    def test_seed_changes_order_not_answer(self):
+        for g in enumerate_connected(6):
+            one = exact_pc(g, budget=SolverBudget(seed=1))
+            two = exact_pc(g, budget=SolverBudget(seed=2))
+            assert one.exhausted and two.exhausted
+            assert one.value == two.value, g
+            for result in (one, two):
+                assert result.certificate.k == result.value
+                assert is_proper_connected(g, result.certificate).ok
 
 
 class TestStrongVariant:
