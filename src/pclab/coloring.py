@@ -1,14 +1,15 @@
 """Proper-path machinery over edge-colored graphs.
 
-A proper path never repeats a color on consecutive edges.  Searches here are
-exact: reachability in the (vertex, entering-color) state space is used only
-to prune, because a proper walk need not shorten to a proper path.  The
-answer always comes from backtracking over simple paths.
+A proper path never repeats a color on consecutive edges.  Every question
+here is answered by one search, ``_paths``: an iterative depth-first walk over
+the proper simple paths between two vertices, in lexicographic order.
+Reachability in the (vertex, entering-color) state space toward the target
+only prunes it, because a proper walk need not shorten to a proper path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import BudgetExceededError, ColoringFormatError, PreconditionError
 from .graph import Graph, _bits, bfs_distances, is_connected
@@ -182,37 +183,30 @@ def _back_reach(view: _View, target: int) -> list[int]:
     return reach
 
 
-def _fwd_reachable(view: _View, source: int) -> int:
-    """Bitmask of vertices reachable from source by a proper walk."""
-    state = [0] * view.n
-    stack = []
-    for x in view.nbr[source]:
-        c = view.col[source][x]
-        if not state[x] >> (c - 1) & 1:
-            state[x] |= 1 << (c - 1)
-            stack.append((x, c))
-    while stack:
-        w, c = stack.pop()
-        for x in view.nbr[w]:
-            c2 = view.col[w][x]
-            if c2 != c and not state[x] >> (c2 - 1) & 1:
-                state[x] |= 1 << (c2 - 1)
-                stack.append((x, c2))
-    mask = 1 << source
-    for v, s in enumerate(state):
-        if s:
-            mask |= 1 << v
-    return mask
+def _paths(view: _View, u: int, v: int, reach: list[int], limit: int,
+           budget: Optional[int] = None) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (vertices, color ranks) of each proper simple u-v path of at most
+    ``limit`` edges, in lexicographic vertex order.
 
-
-def _depth_limited(view: _View, u: int, v: int, reach: list[int], limit: int) -> Optional[ProperPath]:
+    ``reach`` is ``_back_reach(view, v)``: the search enters a vertex only if a
+    proper walk to v can leave it.  The yielded lists are live; copy them to
+    keep them.  Entering more than ``budget`` vertices, u included, raises
+    BudgetExceededError.
+    """
     col = view.col
     nbr = view.nbr
     path = [u]
     colors: list[int] = []
-
-    def go(w: int, lastc: int, left: int, visited: int) -> bool:
-        for x in nbr[w]:
+    visited = 1 << u
+    stack = [iter(nbr[u])]
+    entered = 1
+    while stack:
+        if budget is not None and entered > budget:
+            raise BudgetExceededError(
+                "path enumeration budget exceeded", stage="path_enumeration")
+        w = path[-1]
+        lastc = colors[-1] if colors else 0
+        for x in stack[-1]:
             if visited >> x & 1:
                 continue
             cx = col[w][x]
@@ -221,44 +215,42 @@ def _depth_limited(view: _View, u: int, v: int, reach: list[int], limit: int) ->
             if x == v:
                 path.append(x)
                 colors.append(cx)
-                return True
-            if left > 1 and reach[x] >> (cx - 1) & 1:
-                path.append(x)
-                colors.append(cx)
-                if go(x, cx, left - 1, visited | 1 << x):
-                    return True
+                yield path, colors
                 path.pop()
                 colors.pop()
-        return False
+            elif len(path) < limit and reach[x] >> (cx - 1) & 1:
+                path.append(x)
+                colors.append(cx)
+                visited |= 1 << x
+                stack.append(iter(nbr[x]))
+                entered += 1
+                break
+        else:
+            stack.pop()
+            visited ^= 1 << path.pop()
+            if colors:
+                colors.pop()
 
-    if go(u, 0, limit, 1 << u):
-        return view.path(path, colors)
-    return None
 
-
-def _find_path(view: _View, u: int, v: int, dist: tuple[int, ...],
-               reach: Optional[list[int]] = None) -> Optional[ProperPath]:
-    """dist: plain BFS distances from u."""
-    if view.col[u][v]:
-        return view.path([u, v], [view.col[u][v]])
-    if dist[v] < 0:
-        return None
-    if reach is None:
-        reach = _back_reach(view, v)
-    if not any(reach[x] >> (view.col[u][x] - 1) & 1 for x in view.nbr[u]):
-        return None
-    for limit in range(dist[v], view.n):
-        found = _depth_limited(view, u, v, reach, limit)
-        if found is not None:
-            return found
-    return None
+def _check_endpoints(g: Graph, u: int, v: int) -> None:
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"endpoints ({u},{v}) outside 0..{g.n - 1}")
+    if u == v:
+        raise ValueError("endpoints must be distinct")
 
 
 def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Optional[ProperPath]:
     """Shortest proper u-v path, lexicographically least among those; None if none exists."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    return _find_path(_View(g, coloring), u, v, bfs_distances(g, u))
+    _check_endpoints(g, u, v)
+    view = _View(g, coloring)
+    dist = bfs_distances(g, u)[v]
+    if dist < 0:
+        return None
+    reach = _back_reach(view, v)
+    for limit in range(dist, g.n):
+        for vertices, colors in _paths(view, u, v, reach, limit):
+            return view.path(vertices, colors)
+    return None
 
 
 def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
@@ -266,82 +258,27 @@ def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
     if not is_connected(g):
         raise PreconditionError("proper connectivity is defined on connected graphs")
     view = _View(g, coloring)
-    fwd: dict[int, int] = {}
-    back: dict[int, list[int]] = {}
+    reach: dict[int, list[int]] = {}
     for u in range(g.n):
-        dist = None
         for v in range(u + 1, g.n):
             if view.col[u][v]:
                 continue  # a single edge is always a proper path
-            if u not in fwd:
-                fwd[u] = _fwd_reachable(view, u)
-            if not fwd[u] >> v & 1:
-                return ConnectivityCheck(False, (u, v))
-            if dist is None:
-                dist = bfs_distances(g, u)
-            if v not in back:
-                back[v] = _back_reach(view, v)
-            if _find_path(view, u, v, dist, back[v]) is None:
+            if v not in reach:
+                reach[v] = _back_reach(view, v)
+            if next(_paths(view, u, v, reach[v], g.n - 1), None) is None:
                 return ConnectivityCheck(False, (u, v))
     return ConnectivityCheck(True)
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError(
-                "path enumeration budget exceeded", stage="path_enumeration")
-
-
-def _enumerate_paths(view: _View, u: int, v: int, budget: _Budget, visit) -> None:
-    """Call visit(colors) for every proper simple u-v path; visit may raise to stop."""
-    reach = _back_reach(view, v)
-    col = view.col
-    nbr = view.nbr
-    colors: list[int] = []
-
-    def go(w: int, lastc: int, visited: int) -> None:
-        budget.spend()
-        for x in nbr[w]:
-            if visited >> x & 1:
-                continue
-            cx = col[w][x]
-            if cx == lastc:
-                continue
-            if x == v:
-                colors.append(cx)
-                visit(colors)
-                colors.pop()
-                continue
-            if reach[x] >> (cx - 1) & 1:
-                colors.append(cx)
-                go(x, cx, visited | 1 << x)
-                colors.pop()
-
-    go(u, 0, 1 << u)
 
 
 def endpoint_color_pairs(g: Graph, coloring: EdgeColoring, u: int, v: int,
                          budget: int = DEFAULT_PATH_BUDGET) -> frozenset[tuple[int, int]]:
     """Exact set of (start, end) colors over all proper u-v paths."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
+    _check_endpoints(g, u, v)
     view = _View(g, coloring)
-    pairs: set[tuple[int, int]] = set()
-    _enumerate_paths(view, u, v, _Budget(budget),
-                     lambda colors: pairs.add((colors[0], colors[-1])))
+    pairs = {(colors[0], colors[-1]) for _, colors in
+             _paths(view, u, v, _back_reach(view, v), g.n - 1, budget)}
     orig = view.orig
     return frozenset((orig[s], orig[e]) for s, e in pairs)
-
-
-class _StrongPairFound(Exception):
-    pass
 
 
 def has_strong_property(g: Graph, coloring: EdgeColoring,
@@ -357,24 +294,19 @@ def has_strong_property(g: Graph, coloring: EdgeColoring,
         incident = {view.col[w][x] for x in view.nbr[w]}
         if len(incident) < 2:
             return False
+    reach: dict[int, list[int]] = {}
     for u in range(g.n):
         for v in range(u + 1, g.n):
+            if v not in reach:
+                reach[v] = _back_reach(view, v)
             seen: set[tuple[int, int]] = set()
-
-            def visit(colors: list[int]) -> None:
-                pair = (colors[0], colors[-1])
-                if pair in seen:
-                    return
-                for s2, e2 in seen:
-                    if s2 != pair[0] and e2 != pair[1]:
-                        raise _StrongPairFound
-                seen.add(pair)
-
-            try:
-                _enumerate_paths(view, u, v, _Budget(budget), visit)
-            except _StrongPairFound:
-                continue
-            return False
+            for _, colors in _paths(view, u, v, reach[v], g.n - 1, budget):
+                s, e = colors[0], colors[-1]
+                if any(s != s2 and e != e2 for s2, e2 in seen):
+                    break
+                seen.add((s, e))
+            else:
+                return False
     return True
 
 

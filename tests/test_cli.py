@@ -1,8 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
-from pclab import exact_pc, format_coloring, graph6_decode, graph6_encode
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pclab import (
+    GraphFormatError,
+    UnsupportedSizeError,
+    exact_pc,
+    format_coloring,
+    graph6_decode,
+    graph6_encode,
+)
 import pclab.cli
 from pclab.cli import main
 from pclab.generators import double_star, path_graph, star_graph
@@ -96,6 +108,24 @@ class TestInfo:
     def test_bad_graph6_is_input_error(self, capsys):
         code, _, err = run_cli("info", "C", capsys=capsys)
         assert code == 2 and "error" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=127), max_size=12))
+    @example("C~")
+    @example("-C")
+    def test_arbitrary_text_exits_zero_or_two(self, text):
+        try:
+            graph6_decode(text)
+            want = 0
+        except (GraphFormatError, UnsupportedSizeError):
+            want = 2
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["info", text])
+            except SystemExit as exc:  # argparse rejects text that looks like an option
+                code = exc.code
+        assert code == want
 
 
 class TestColorComplement:

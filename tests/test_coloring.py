@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclab import (
     BudgetExceededError,
@@ -19,7 +21,7 @@ from pclab import (
 )
 from pclab.generators import complete_graph, cycle_graph, path_graph, star_graph
 
-from conftest import naive_proper_paths, random_connected_graph
+from conftest import naive_proper_paths, random_connected_graph, random_tree
 
 
 def colored(g, *colors):
@@ -96,6 +98,13 @@ class TestFindProperPath:
         g = path_graph(3)
         with pytest.raises(ValueError):
             find_proper_path(g, colored(g, 1, 2), 1, 1)
+
+    @pytest.mark.parametrize("search", [find_proper_path, endpoint_color_pairs])
+    @pytest.mark.parametrize("u,v", [(2, -3), (0, -1), (0, 5), (-1, 2)])
+    def test_out_of_range_endpoints_rejected(self, search, u, v):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="outside"):
+            search(g, colored(g, 1, 2), u, v)
 
 
 class TestIsProperConnected:
@@ -174,6 +183,17 @@ class TestEndpointColorPairs:
         with pytest.raises(BudgetExceededError):
             endpoint_color_pairs(g, coloring, 0, 6, budget=10)
 
+    def test_budget_counts_entered_vertices(self):
+        # the budget caps vertices entered by the path search, the start included
+        g = complete_graph(6)
+        coloring = EdgeColoring.from_sequence(g, [i % 3 + 1 for i in range(g.m)])
+        endpoint_color_pairs(g, coloring, 0, 5, budget=37)
+        with pytest.raises(BudgetExceededError):
+            endpoint_color_pairs(g, coloring, 0, 5, budget=36)
+        has_strong_property(g, coloring, budget=18)
+        with pytest.raises(BudgetExceededError):
+            has_strong_property(g, coloring, budget=17)
+
 
 class TestStrongProperty:
     def test_alternating_c4(self):
@@ -225,6 +245,39 @@ class TestOracleEquivalence:
                         assert is_proper_path(g, coloring, got.vertices)
                     assert endpoint_color_pairs(g, coloring, u, v) == \
                         {(cs[0], cs[-1]) for _, cs in want}
+
+    def test_sparse_graphs_to_nine_vertices(self):
+        # solve9-like graphs: a random tree plus a few extra edges
+        rng = random.Random(97)
+        for _ in range(150):
+            n = rng.randint(7, 9)
+            tree = random_tree(n, rng)
+            extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if not tree.has_edge(u, v) and rng.random() < 0.15]
+            g = Graph.from_edges(n, list(tree.edges) + extra)
+            k = rng.randint(2, 3)
+            coloring = EdgeColoring.from_sequence(
+                g, [rng.randint(1, k) for _ in range(g.m)], k)
+            failing = []
+            strong = True
+            for u in range(n):
+                for v in range(u + 1, n):
+                    want = naive_proper_paths(g, coloring, u, v)
+                    got = find_proper_path(g, coloring, u, v)
+                    if want:
+                        vertices, colors = min(want, key=lambda p: (len(p[0]), p[0]))
+                        assert (got.vertices, got.colors) == (vertices, colors)
+                    else:
+                        assert got is None
+                        failing.append((u, v))
+                    ends = {(cs[0], cs[-1]) for _, cs in want}
+                    assert endpoint_color_pairs(g, coloring, u, v) == ends
+                    strong = strong and any(s != s2 and e != e2
+                                            for s, e in ends for s2, e2 in ends)
+            check = is_proper_connected(g, coloring)
+            assert check.ok == (not failing)
+            assert check.witness == (failing[0] if failing else None)
+            assert has_strong_property(g, coloring) == strong
 
     def test_color_permutation_equivariance(self):
         rng = random.Random(61)
@@ -304,3 +357,12 @@ class TestColoringFiles:
     def test_parse_errors(self, text, message):
         with pytest.raises(ColoringFormatError, match=message):
             parse_coloring(text, path_graph(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.lists(st.sampled_from(
+        ["colors", "edge", "0", "1", "2", "3", "-1", "#", " ", "\n", "x"])).map("".join))
+    def test_arbitrary_text_raises_only_format_errors(self, text):
+        try:
+            parse_coloring(text, path_graph(3))
+        except ColoringFormatError:
+            pass

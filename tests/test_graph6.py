@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclab import (
     Graph,
@@ -100,6 +101,14 @@ class TestErrors:
     def test_encode_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             graph6_encode(Graph(63, tuple([0] * 63)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=127), max_size=12))
+    def test_arbitrary_text_raises_only_format_errors(self, text):
+        try:
+            graph6_decode(text)
+        except (GraphFormatError, UnsupportedSizeError):
+            pass
 
 
 def test_file_iteration_with_comments(tmp_path):
