@@ -20,12 +20,12 @@ from .errors import ConstructionError, PreconditionError
 from .generators import FamilySpec, generate
 from .graph import (
     Graph,
+    LayeredView,
     _bits,
     canonical_form,
     complement,
     components,
     diameter,
-    eccentricity,
     induced_subgraph,
     is_connected,
     layered_view,
@@ -88,13 +88,6 @@ def _verified(h: Graph, assignment: dict, k: int, branch: str,
         raise ConstructionError(
             f"{branch}: certificate failed verification at pair {check.witness}")
     return Construction(coloring, branch, discrepancy)
-
-
-def _far_root(g: Graph, target_ecc: int) -> int:
-    for v in range(g.n):
-        if eccentricity(g, v) == target_ecc:
-            return v
-    raise AssertionError("no vertex realizes the diameter")
 
 
 def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
@@ -173,13 +166,10 @@ def _least_color_avoiding(banned: int) -> int:
 
 def color_complement_diam_ge4(g: Graph) -> Construction:
     """2-coloring of the complement of a connected graph with diameter >= 4."""
-    if not is_connected(g):
-        raise PreconditionError("input must be connected")
-    d = diameter(g)
-    if d < 4:
-        raise PreconditionError(f"diameter must be >= 4, got {d}")
-    x = _far_root(g, d)
-    lv = layered_view(g, x)
+    lv = layered_view(g)
+    if lv.diameter < 4:
+        raise PreconditionError(f"diameter must be >= 4, got {lv.diameter}")
+    x = lv.root
     n1, n3, n4 = lv.layers[1], lv.layers[3], lv.layers[4]
     h = complement(g)
     assignment = {e: 2 for e in h.edges}
@@ -193,12 +183,12 @@ def color_complement_diam_ge4(g: Graph) -> Construction:
 
 def analyze_diam3(g: Graph) -> Diam3Analysis:
     """Layer sizes, the two pendant-edge counters, and the case tag at diameter 3."""
-    if not is_connected(g):
-        raise PreconditionError("input must be connected")
-    if diameter(g) != 3:
+    return _analyze_diam3(g, layered_view(g))
+
+
+def _analyze_diam3(g: Graph, lv: LayeredView) -> Diam3Analysis:
+    if lv.diameter != 3:
         raise PreconditionError("analysis applies to diameter-3 graphs only")
-    x = _far_root(g, 3)
-    lv = layered_view(g, x)
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
     n1, n2, n3 = len(layer1), len(layer2), len(layer3)
     mask1 = 0
@@ -215,7 +205,7 @@ def analyze_diam3(g: Graph) -> Diam3Analysis:
         case, lower = CASE_N2_ONE_N3_BIG, None
     else:
         case, lower = CASE_N1_BIG_REST_ONE, n1_prime
-    return Diam3Analysis(x, n1, n2, n3, n1_prime, n2_prime, case, lower)
+    return Diam3Analysis(lv.root, n1, n2, n3, n1_prime, n2_prime, case, lower)
 
 
 def color_complement_diam3_trianglefree(g: Graph) -> Construction:
@@ -225,11 +215,11 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
     cases do.  Literal colorings are re-verified, with a search fallback that
     raises the discrepancy flag if they ever fail.
     """
-    ana = analyze_diam3(g)
+    lv = layered_view(g)
+    ana = _analyze_diam3(g, lv)
     flags = structure_flags(g)
     h = complement(g)
     x = ana.root
-    lv = layered_view(g, x)
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
 
     if ana.case == CASE_ALL_ONES:
@@ -294,19 +284,16 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
 
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement of a triangle-free diameter-2 graph."""
-    if not is_connected(g):
-        raise PreconditionError("input must be connected")
-    flags = structure_flags(g)
-    if not flags.triangle_free:
+    lv = layered_view(g)
+    if not structure_flags(g).triangle_free:
         raise PreconditionError("input must be triangle-free")
-    if diameter(g) != 2:
+    if lv.diameter != 2:
         raise PreconditionError("input must have diameter 2")
     h = complement(g)
     if not is_connected(h):
         raise PreconditionError("complement must be connected")
-    x = _far_root(g, 2)
-    lv = layered_view(g, x)
-    layer1, layer2 = set(lv.layers[1]), set(lv.layers[2])
+    x = lv.root
+    layer1 = set(lv.layers[1])
     assignment = {}
     for u, v in h.edges:
         cross = (u in layer1) != (v in layer1) and x not in (u, v)
@@ -330,15 +317,7 @@ def color_complement_with_trivial_component(g: Graph) -> Construction:
     back = {i: v for v, i in idx.items()}
     h2 = complement(g2)
     if is_connected(h2):
-        d2 = diameter(g2)
-        if d2 >= 4:
-            inner = color_complement_diam_ge4(g2)
-        elif d2 == 3:
-            inner = color_complement_diam3_trianglefree(g2)
-        elif d2 == 2:
-            inner = color_complement_diam2_trianglefree(g2)
-        else:  # pragma: no cover - complete triangle-free with connected complement is K1
-            raise PreconditionError("unexpected complete component")
+        inner = auto_pc2_complement(g2).construction
         assignment = {_key(back[a], back[b]): c
                       for (a, b), c in inner.coloring.assignment.items()}
         for i, w in enumerate(sorted(rest)):

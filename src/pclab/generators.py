@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UnsupportedSizeError
-from .graph import Graph, _min_placement
+from .graph import Graph, _min_placement, canonical_graph
 
 FAMILY_TAGS = (
     "path",
@@ -132,7 +132,7 @@ _LEVELS: dict[int, tuple[Graph, ...]] = {}
 def _build_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    reps: dict[tuple[int, ...], list[int]] = {}
+    reps: dict[tuple[int, ...], Graph] = {}
     for parent in _level(n - 1):
         padj = parent.adj
         for subset in range(1, 1 << (n - 1)):
@@ -140,15 +140,8 @@ def _build_level(n: int) -> tuple[Graph, ...]:
             adj.append(subset)
             cols, perm = _min_placement(n, adj)
             if cols not in reps:
-                # store the canonically labeled representative
-                canon = [0] * n
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if adj[perm[i]] >> perm[j] & 1:
-                            canon[i] |= 1 << j
-                            canon[j] |= 1 << i
-                reps[cols] = canon
-    return tuple(Graph(n, tuple(adj)) for _, adj in sorted(reps.items()))
+                reps[cols] = canonical_graph(Graph(n, tuple(adj)), perm)
+    return tuple(reps[cols] for cols in sorted(reps))
 
 
 def _level(n: int) -> tuple[Graph, ...]:

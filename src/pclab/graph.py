@@ -80,12 +80,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class LayeredView:
-    """BFS layers around a root: N0..N3 plus one bucket for distance >= 4."""
+    """The far root x of a connected graph with its distance layers.
+
+    x is the least vertex whose eccentricity is the diameter; ``layers`` holds
+    N0(x)..N3(x) plus one bucket for distance >= 4.
+    """
 
     root: int
     dist: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
-    ecc: int
     diameter: int
 
     def layer_sizes(self) -> tuple[int, ...]:
@@ -166,50 +169,36 @@ def is_connected(g: Graph) -> bool:
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    remaining = (1 << g.n) - 1
+    """Connected components as sorted vertex tuples, ordered by least vertex.
+
+    A component is the set of vertices one BFS from its least vertex reaches.
+    """
     out = []
-    while remaining:
-        root = (remaining & -remaining).bit_length() - 1
-        seen = 1 << root
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        out.append(tuple(_bits(seen)))
-        remaining &= ~seen
+    left = set(range(g.n))
+    while left:
+        comp = tuple(v for v, d in enumerate(bfs_distances(g, min(left))) if d >= 0)
+        out.append(comp)
+        left.difference_update(comp)
     return tuple(out)
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    dist = bfs_distances(g, v)
-    if -1 in dist:
-        raise PreconditionError("eccentricity is undefined on a disconnected graph")
-    return max(dist)
-
-
 def diameter(g: Graph) -> int:
-    if not is_connected(g):
-        raise PreconditionError("diameter is undefined on a disconnected graph")
-    return max(max(bfs_distances(g, v)) for v in range(g.n))
+    return layered_view(g).diameter
 
 
-def layered_view(g: Graph, root: int) -> LayeredView:
-    dist = bfs_distances(g, root)
+def layered_view(g: Graph) -> LayeredView:
+    """Far root and layers of a connected graph, from one BFS per vertex."""
+    dist = max((bfs_distances(g, v) for v in range(g.n)), key=max)
     if -1 in dist:
-        raise PreconditionError("layered view requires a connected graph")
+        raise PreconditionError("diameter and layers are undefined on a disconnected graph")
     buckets: list[list[int]] = [[], [], [], [], []]
     for v, d in enumerate(dist):
         buckets[min(d, 4)].append(v)
     return LayeredView(
-        root=root,
+        root=dist.index(0),
         dist=dist,
         layers=tuple(tuple(b) for b in buckets),
-        ecc=max(dist),
-        diameter=diameter(g),
+        diameter=max(dist),
     )
 
 
@@ -269,24 +258,24 @@ def bridge_profile(g: Graph) -> BridgeProfile:
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in _bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist.
+
+    A vertex's side is the parity of its distance to the least vertex of its
+    component, one BFS per component; an edge inside one side closes an odd
+    cycle.
+    """
+    dist = list(bfs_distances(g, 0))
+    while -1 in dist:
+        for v, d in enumerate(bfs_distances(g, dist.index(-1))):
+            if d >= 0:
+                dist[v] = d
+    for u, v in g.edges:
+        if (dist[u] ^ dist[v]) & 1 == 0:
+            return None
+    sides: tuple[list[int], list[int]] = ([], [])
+    for v, d in enumerate(dist):
+        sides[d & 1].append(v)
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def structure_flags(g: Graph) -> StructureFlags:
@@ -382,35 +371,33 @@ def _min_placement(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[i
     return tuple(best_cols), tuple(best_perm)
 
 
-def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical graph6 code plus the placement realizing it.
+def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical code plus the placement realizing it.
 
-    ``placement[i]`` is the original vertex at canonical position i.  Two
+    The code is the column tuple of ``_min_placement``: it lists the
+    canonically labeled graph's upper-triangle adjacency bits column by
+    column, so it fixes that graph (and its graph6 text) one-to-one, and two
     graphs get identical codes exactly when they are isomorphic.
+    ``placement[i]`` is the original vertex at canonical position i.
     """
     if g.n > MAX_CANONICAL_N:
         raise UnsupportedSizeError(
             f"canonical labeling is capped at n <= {MAX_CANONICAL_N}, got {g.n}")
-    _, placement = _min_placement(g.n, g.adj)
-    from .graph6 import graph6_encode  # deferred: graph6 imports this module
-
-    return graph6_encode(canonical_graph(g, placement)).encode("ascii"), placement
+    return _min_placement(g.n, g.adj)
 
 
 def canonical_graph(g: Graph, placement: Sequence[int] | None = None) -> Graph:
     """The canonically labeled copy of g."""
     if placement is None:
-        if g.n > MAX_CANONICAL_N:
-            raise UnsupportedSizeError(
-                f"canonical labeling is capped at n <= {MAX_CANONICAL_N}, got {g.n}")
-        _, placement = _min_placement(g.n, g.adj)
+        placement = canonical_form(g)[1]
     mapping = [0] * g.n
     for pos, old in enumerate(placement):
         mapping[old] = pos
     return relabel(g, mapping)
 
 
-def canonical_code(g: Graph) -> bytes:
+def canonical_code(g: Graph) -> tuple[int, ...]:
+    """Isomorphism-class code of g; see ``canonical_form``."""
     return canonical_form(g)[0]
 
 

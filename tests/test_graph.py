@@ -29,6 +29,7 @@ from pclab.generators import (
     star_graph,
     star_plus_edge,
 )
+from pclab.graph import bipartition
 
 from conftest import random_connected_graph, to_nx
 
@@ -84,36 +85,36 @@ class TestComplement:
 
 class TestLayeredView:
     def test_path_end(self):
-        lv = layered_view(path_graph(5), 0)
-        assert lv.layer_sizes() == (1, 1, 1, 1, 1)
-        assert lv.diameter == 4 and lv.ecc == 4
+        lv = layered_view(path_graph(5))
+        assert lv.root == 0 and lv.layer_sizes() == (1, 1, 1, 1, 1)
+        assert lv.diameter == 4
 
     def test_cycle(self):
-        lv = layered_view(cycle_graph(5), 2)
-        assert lv.layer_sizes() == (1, 2, 2)
+        lv = layered_view(cycle_graph(5))
+        assert lv.root == 0 and lv.layer_sizes() == (1, 2, 2)
         assert lv.diameter == 2
 
-    def test_star_center(self):
-        lv = layered_view(star_graph(5), 0)
-        assert lv.layer_sizes() == (1, 4)
+    def test_star_far_root_is_a_leaf(self):
+        lv = layered_view(star_graph(5))
+        assert lv.root == 1 and lv.layer_sizes() == (1, 1, 3)
         assert lv.diameter == 2
 
     def test_far_bucket_collects_distance_ge_4(self):
-        lv = layered_view(path_graph(7), 0)
+        lv = layered_view(path_graph(7))
         assert lv.layers[4] == (4, 5, 6)
 
     def test_layers_partition(self):
         rng = random.Random(7)
         for _ in range(20):
             g = random_connected_graph(rng.randint(2, 8), rng)
-            lv = layered_view(g, 0)
+            lv = layered_view(g)
             seen = sorted(v for layer in lv.layers for v in layer)
             assert seen == list(range(g.n))
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(PreconditionError):
-            layered_view(g, 0)
+            layered_view(g)
 
 
 class TestStructureFlags:
@@ -177,6 +178,34 @@ class TestComponents:
     def test_diameter_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             diameter(Graph.from_edges(2, []))
+
+
+class TestTraversalAgainstNetworkx:
+    def test_components_sides_and_far_root(self):
+        rng = random.Random(41)
+        for n in range(1, 10):
+            for _ in range(40):
+                p = rng.random()  # sparse draws leave many graphs disconnected
+                g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if rng.random() < p])
+                G = to_nx(g)
+                comps = components(g)
+                assert comps == tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(G)))
+                sides = bipartition(g)
+                assert (sides is None) == (not nx.is_bipartite(G))
+                if sides is not None:
+                    side0, side1 = sides
+                    assert sorted(side0 + side1) == list(range(n))
+                    assert all((u in side0) != (v in side0) for u, v in g.edges)
+                    assert all(comp[0] in side0 for comp in comps)
+                if len(comps) == 1:
+                    ecc = nx.eccentricity(G)
+                    lv = layered_view(g)
+                    assert lv.diameter == max(ecc.values())
+                    assert lv.root == min(v for v in ecc if ecc[v] == lv.diameter)
+                    dist = nx.single_source_shortest_path_length(G, lv.root)
+                    assert lv.layers == tuple(tuple(v for v in range(n) if min(dist[v], 4) == d)
+                                              for d in range(5))
 
 
 class TestCensusInvariants:

@@ -1,22 +1,25 @@
-"""Module structure: every import of the package sits at module level.
+"""Module structure: every import of the package sits at module level and is used.
 
 A function-level import usually hides an import cycle; keeping them out means
 a cycle shows up as an ImportError at load time instead of being deferred.
+No linter is a dependency, so an ``ast`` walk also keeps out imports that
+outlive the code that used them.
 """
 import ast
 from pathlib import Path
 
 import pclab
 
-# graph.canonical_form encodes its result with graph6, and graph6 builds on
-# graph's Graph type; the deferred import stays until canonical labeling
-# stops going through graph6 text.
-ALLOWED = {("graph", "canonical_form")}
+# (module, function) pairs whose deferred import is accepted; an entry must
+# name the cycle it defers.  None is needed.
+ALLOWED: set[tuple[str, str]] = set()
+
+MODULES = sorted(Path(pclab.__file__).parent.glob("*.py"))
 
 
 def function_level_imports():
     found = []
-    for path in sorted(Path(pclab.__file__).parent.glob("*.py")):
+    for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -31,3 +34,27 @@ def test_no_function_level_imports():
     offending = [f for f in function_level_imports() if f[:2] not in ALLOWED]
     assert offending == []
 
+
+def unused_imports():
+    """(module, name) for each imported name its module never mentions.
+
+    ``__init__`` is skipped: its imports are the package's public API.
+    """
+    found = []
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [(path.stem, name) for name in sorted(imported - used)]
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
