@@ -25,7 +25,6 @@ from .graph import (
     canonical_form,
     complement,
     components,
-    diameter,
     induced_subgraph,
     is_connected,
     layered_view,
@@ -166,7 +165,10 @@ def _least_color_avoiding(banned: int) -> int:
 
 def color_complement_diam_ge4(g: Graph) -> Construction:
     """2-coloring of the complement of a connected graph with diameter >= 4."""
-    lv = layered_view(g)
+    return _color_complement_diam_ge4(g, layered_view(g))
+
+
+def _color_complement_diam_ge4(g: Graph, lv: LayeredView) -> Construction:
     if lv.diameter < 4:
         raise PreconditionError(f"diameter must be >= 4, got {lv.diameter}")
     x = lv.root
@@ -216,8 +218,12 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
     raises the discrepancy flag if they ever fail.
     """
     lv = layered_view(g)
-    ana = _analyze_diam3(g, lv)
-    flags = structure_flags(g)
+    return _color_complement_diam3(g, lv, _analyze_diam3(g, lv),
+                                   structure_flags(g).triangle_free)
+
+
+def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
+                            triangle_free: bool) -> Construction:
     h = complement(g)
     x = ana.root
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
@@ -254,7 +260,7 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
         coloring = extend_strong_coloring(h, core, EdgeColoring(2, core_assignment))
         return Construction(coloring, "diam3_n2_one_n3_big", False)
 
-    if not flags.triangle_free:
+    if not triangle_free:
         raise PreconditionError(
             "this layer shape needs a triangle-free input (pc of the complement may be large)")
 
@@ -406,14 +412,14 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
         flags = structure_flags(g)
         if flags.complete:
             raise PreconditionError("complete input: its complement is edgeless")
-        d = diameter(g)
-        if d >= 4:
-            return DispatchResult("colored", color_complement_diam_ge4(g))
-        if d == 3:
-            ana = analyze_diam3(g)
+        lv = layered_view(g)
+        if lv.diameter >= 4:
+            return DispatchResult("colored", _color_complement_diam_ge4(g, lv))
+        if lv.diameter == 3:
+            ana = _analyze_diam3(g, lv)
             if flags.triangle_free or ana.case in (CASE_ALL_ONES, CASE_N2_ONE_N3_BIG):
-                return DispatchResult("colored", color_complement_diam3_trianglefree(g),
-                                      analysis=ana)
+                built = _color_complement_diam3(g, lv, ana, flags.triangle_free)
+                return DispatchResult("colored", built, analysis=ana)
             return DispatchResult("lower_bound", analysis=ana,
                                   reason="diameter 3 with triangles: pc of the complement "
                                          "may be large; reporting the layer lower bound")

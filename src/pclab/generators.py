@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UnsupportedSizeError
-from .graph import Graph, _min_placement, canonical_graph
+from .graph import Graph, _bits, _min_placement, canonical_graph
 
 FAMILY_TAGS = (
     "path",
@@ -121,10 +121,14 @@ def _want(params: tuple[int, ...], count: int, tag: str) -> tuple[int, ...]:
 
 # --- enumeration up to isomorphism -----------------------------------------
 #
-# Connected graphs on n vertices are grown from connected graphs on n-1
-# vertices by attaching a new vertex to every nonempty neighbor subset and
-# deduplicating by canonical form.  Every connected graph has a non-cut
-# vertex, so deleting one shows each class is reached this way.
+# Connected graphs on n vertices are grown from the representatives on n-1
+# vertices by attaching a new vertex v to every nonempty neighbor subset.  A
+# child is labeled only if no non-cut vertex w (the child minus w is still
+# connected) outranks v by the invariant (degree, sorted neighbor degrees); the
+# children that pass are deduplicated by canonical code.  No class is lost: a
+# connected G has a non-cut vertex m of largest invariant among its non-cut
+# vertices, G - m is connected and so isomorphic to a parent, and re-attaching
+# m there gives a child in which v plays m, so no non-cut vertex outranks v.
 
 _LEVELS: dict[int, tuple[Graph, ...]] = {}
 
@@ -132,16 +136,43 @@ _LEVELS: dict[int, tuple[Graph, ...]] = {}
 def _build_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
+    v = n - 1
     reps: dict[tuple[int, ...], Graph] = {}
-    for parent in _level(n - 1):
+    for parent in _level(v):
         padj = parent.adj
-        for subset in range(1, 1 << (n - 1)):
-            adj = [a | ((subset >> i & 1) << (n - 1)) for i, a in enumerate(padj)]
+        for subset in range(1, 1 << v):
+            adj = [a | ((subset >> i & 1) << v) for i, a in enumerate(padj)]
             adj.append(subset)
+            if _outranked(adj, v):
+                continue
             cols, perm = _min_placement(n, adj)
             if cols not in reps:
                 reps[cols] = canonical_graph(Graph(n, tuple(adj)), perm)
     return tuple(reps[cols] for cols in sorted(reps))
+
+
+def _outranked(adj: list[int], v: int) -> bool:
+    """Whether a non-cut vertex w < v has a larger invariant than v."""
+    deg = [a.bit_count() for a in adj]
+    mine = None
+    for w in range(v):
+        if deg[w] < deg[v]:
+            continue
+        if deg[w] == deg[v]:
+            mine = mine or sorted(deg[u] for u in _bits(adj[v]))
+            if sorted(deg[u] for u in _bits(adj[w])) <= mine:
+                continue
+        rest = ((1 << v + 1) - 1) ^ (1 << w)
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for u in _bits(frontier):
+                reach |= adj[u]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen == rest:
+            return True
+    return False
 
 
 def _level(n: int) -> tuple[Graph, ...]:

@@ -258,13 +258,22 @@ def bridge_profile(g: Graph) -> BridgeProfile:
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist.
+    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist."""
+    dist = _parity_distances(g, bfs_distances(g, 0))
+    if dist is None:
+        return None
+    sides: tuple[list[int], list[int]] = ([], [])
+    for v, d in enumerate(dist):
+        sides[d & 1].append(v)
+    return tuple(sides[0]), tuple(sides[1])
 
-    A vertex's side is the parity of its distance to the least vertex of its
-    component, one BFS per component; an edge inside one side closes an odd
-    cycle.
+
+def _parity_distances(g: Graph, dist0: Sequence[int]) -> list[int] | None:
+    """Distance to the least vertex of each component; None on an odd cycle.
+
+    ``dist0`` is ``bfs_distances(g, 0)``; one BFS runs per further component.
     """
-    dist = list(bfs_distances(g, 0))
+    dist = list(dist0)
     while -1 in dist:
         for v, d in enumerate(bfs_distances(g, dist.index(-1))):
             if d >= 0:
@@ -272,14 +281,12 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     for u, v in g.edges:
         if (dist[u] ^ dist[v]) & 1 == 0:
             return None
-    sides: tuple[list[int], list[int]] = ([], [])
-    for v, d in enumerate(dist):
-        sides[d & 1].append(v)
-    return tuple(sides[0]), tuple(sides[1])
+    return dist
 
 
 def structure_flags(g: Graph) -> StructureFlags:
-    connected = is_connected(g)
+    dist0 = bfs_distances(g, 0)
+    connected = -1 not in dist0
     complete = g.m == g.n * (g.n - 1) // 2
     triangle_free = all(g.adj[u] & g.adj[v] == 0 for u, v in g.edges)
     if g.n >= 3 and connected:
@@ -290,7 +297,7 @@ def structure_flags(g: Graph) -> StructureFlags:
     return StructureFlags(
         connected=connected,
         complete=complete,
-        bipartite=bipartition(g) is not None,
+        bipartite=_parity_distances(g, dist0) is not None,
         triangle_free=triangle_free,
         two_connected=two_connected,
     )

@@ -23,6 +23,7 @@ from pclab import (
     structure_flags,
     tree_proper_coloring,
 )
+from pclab import graph
 from pclab.constructions import (
     CASE_ALL_ONES,
     CASE_N1_BIG_REST_ONE,
@@ -362,6 +363,21 @@ class TestAutoDispatcher:
     def test_complete_input_rejected(self):
         with pytest.raises(PreconditionError):
             auto_pc2_complement(complete_graph(5))
+
+    def test_diam3_builds_the_far_root_view_once(self, monkeypatch):
+        # 6 BFS for the view, plus components, structure_flags and the checker's
+        # connectivity test on the complement
+        calls = []
+        bfs = graph.bfs_distances
+
+        def counted(g, root):
+            calls.append(root)
+            return bfs(g, root)
+
+        monkeypatch.setattr(graph, "bfs_distances", counted)
+        result = auto_pc2_complement(cycle_graph(6))
+        assert result.construction.branch == "diam3_n2_big"
+        assert len(calls) <= 9
 
     def test_diam2_with_triangles_has_no_construction(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])

@@ -3,7 +3,16 @@ import itertools
 import networkx as nx
 import pytest
 
-from pclab import FamilySpec, Graph, UnsupportedSizeError, canonical_code, generate, is_connected
+from pclab import (
+    FamilySpec,
+    Graph,
+    UnsupportedSizeError,
+    canonical_code,
+    canonical_graph,
+    generate,
+    is_connected,
+)
+from pclab import generators
 from pclab.generators import (
     complete_multipartite,
     cycle4_plus_edge,
@@ -61,8 +70,29 @@ class TestFamilies:
 
 class TestEnumeration:
     def test_counts_match_cycle_index_oracle(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             assert len(list(enumerate_connected(n))) == count_connected_classes(n)
+
+    def test_representatives_are_canonical_in_code_order(self):
+        for n in range(1, 8):
+            reps = list(enumerate_connected(n))
+            assert all(canonical_graph(g) == g for g in reps)
+            codes = [canonical_code(g) for g in reps]
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    def test_labelings_per_cold_build(self, monkeypatch):
+        # the invariant prefilter labels 1,698 of the 7,815 children of levels 2..7
+        monkeypatch.setattr(generators, "_LEVELS", {})
+        calls = []
+        label = generators._min_placement
+
+        def counted(n, adj):
+            calls.append(n)
+            return label(n, adj)
+
+        monkeypatch.setattr(generators, "_min_placement", counted)
+        assert len(list(enumerate_connected(7))) == count_connected_classes(7)
+        assert len(calls) <= 1698
 
     def test_counts_match_labeled_brute_force(self):
         # every labeled connected graph on n <= 5 vertices, deduplicated

@@ -193,6 +193,9 @@ class TestTraversalAgainstNetworkx:
                 assert comps == tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(G)))
                 sides = bipartition(g)
                 assert (sides is None) == (not nx.is_bipartite(G))
+                flags = structure_flags(g)
+                assert flags.connected == (len(comps) == 1)
+                assert flags.bipartite == (sides is not None)
                 if sides is not None:
                     side0, side1 = sides
                     assert sorted(side0 + side1) == list(range(n))
