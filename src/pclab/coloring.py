@@ -102,29 +102,36 @@ class _View:
 
     The matrix holds each color's rank 1..k among the k colors actually used,
     so color bitmasks stay within m bits whatever the declared color count;
-    ``orig[rank]`` is the color itself.
+    ``orig[rank]`` is the color itself.  A view made by ``_View(g, k)`` starts
+    uncolored, with ranks equal to the colors 1..k, for a caller that fills in
+    ``col`` as it goes.
     """
 
     __slots__ = ("n", "k", "col", "nbr", "orig")
 
-    def __init__(self, g: Graph, coloring: EdgeColoring):
+    def __init__(self, g: Graph, k: int):
+        self.n = g.n
+        self.k = k
+        self.col = [[0] * g.n for _ in range(g.n)]
+        self.nbr = [list(_bits(g.adj[v])) for v in range(g.n)]
+        self.orig = tuple(range(k + 1))
+
+    @classmethod
+    def of(cls, g: Graph, coloring: EdgeColoring) -> "_View":
         if len(coloring.assignment) != g.m:
             raise ColoringFormatError(
                 f"coloring has {len(coloring.assignment)} edges, graph has {g.m}")
-        n = g.n
         orig = sorted(set(coloring.assignment.values()))
         rank = {c: i for i, c in enumerate(orig, start=1)}
-        col = [[0] * n for _ in range(n)]
+        view = cls(g, len(orig))
+        col = view.col
         for u, v in g.edges:
             c = coloring.assignment.get((u, v))
             if c is None:
                 raise ColoringFormatError(f"edge ({u},{v}) is uncolored")
             col[u][v] = col[v][u] = rank[c]
-        self.n = n
-        self.k = len(orig)
-        self.col = col
-        self.nbr = [list(_bits(g.adj[v])) for v in range(n)]
-        self.orig = (0, *orig)
+        view.orig = (0, *orig)
+        return view
 
     def path(self, vertices: list[int], ranks: list[int]) -> ProperPath:
         return ProperPath(tuple(vertices), tuple(self.orig[c] for c in ranks))
@@ -156,30 +163,31 @@ def is_proper_path(g: Graph, coloring: EdgeColoring, sequence: Iterable[int]) ->
 
 
 def _back_reach(view: _View, target: int) -> list[int]:
-    """reach[w] bit (c-1): a proper walk to target can leave w after entering via color c."""
+    """reach[w] bit (c-1): a proper walk to target can leave w after entering via color c.
+
+    A walk can leave w by color c if an edge w-x of color c enters a vertex x
+    whose reach has c.  A reach only grows, from none to all colors but the
+    one exit color to all colors, so this backward search scans the edges of
+    a vertex at most twice: once each time its reach grows.
+    """
+    col, nbr = view.col, view.nbr
     full = (1 << view.k) - 1
     reach = [0] * view.n
+    exits = [0] * view.n  # bit (c-1): w can leave by an edge of color c
     reach[target] = full
-    changed = True
-    while changed:
-        changed = False
-        for w in range(view.n):
-            if w == target:
-                continue
-            s = 0
-            for x in view.nbr[w]:
-                c = view.col[w][x]
-                if reach[x] >> (c - 1) & 1:
-                    s |= 1 << (c - 1)
-            if s == 0:
-                new = 0
-            elif s & (s - 1):
-                new = full  # two exit colors cover every entry color
-            else:
-                new = full & ~s
-            if new != reach[w]:
-                reach[w] = new
-                changed = True
+    todo = [(target, 0)]  # (vertex, its reach before it grew)
+    while todo:
+        x, old = todo.pop()
+        gained = reach[x] & ~old
+        colx = col[x]
+        for w in nbr[x]:
+            bit = 1 << (colx[w] - 1)
+            if gained & bit and not exits[w] & bit and w != target:
+                s = exits[w] = exits[w] | bit
+                new = full if s & (s - 1) else full & ~s  # two exits cover every entry
+                if new != reach[w]:
+                    todo.append((w, reach[w]))
+                    reach[w] = new
     return reach
 
 
@@ -191,7 +199,7 @@ def _paths(view: _View, u: int, v: int, reach: list[int], limit: int,
     ``reach`` is ``_back_reach(view, v)``: the search enters a vertex only if a
     proper walk to v can leave it.  The yielded lists are live; copy them to
     keep them.  Entering more than ``budget`` vertices, u included, raises
-    BudgetExceededError.
+    BudgetExceededError with ``stats={"entered": count}``.
     """
     col = view.col
     nbr = view.nbr
@@ -202,8 +210,8 @@ def _paths(view: _View, u: int, v: int, reach: list[int], limit: int,
     entered = 1
     while stack:
         if budget is not None and entered > budget:
-            raise BudgetExceededError(
-                "path enumeration budget exceeded", stage="path_enumeration")
+            raise BudgetExceededError("path enumeration budget exceeded",
+                                      stage="path_enumeration", stats={"entered": entered})
         w = path[-1]
         lastc = colors[-1] if colors else 0
         for x in stack[-1]:
@@ -242,7 +250,7 @@ def _check_endpoints(g: Graph, u: int, v: int) -> None:
 def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Optional[ProperPath]:
     """Shortest proper u-v path, lexicographically least among those; None if none exists."""
     _check_endpoints(g, u, v)
-    view = _View(g, coloring)
+    view = _View.of(g, coloring)
     dist = bfs_distances(g, u)[v]
     if dist < 0:
         return None
@@ -253,28 +261,45 @@ def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Option
     return None
 
 
+def _unjoined_pair(view: _View, first: Optional[tuple[int, int]] = None
+                   ) -> Optional[tuple[int, int]]:
+    """A vertex pair with no proper path between them, or None if there is none.
+
+    ``first``, a pair u < v, is tried before the others; when it is joined,
+    the result is the least unjoined pair.  Every edge of ``view`` must be
+    colored.
+    """
+    reach: dict[int, list[int]] = {}
+
+    def joined(u: int, v: int) -> bool:
+        if view.col[u][v]:
+            return True  # a single edge is always a proper path
+        if v not in reach:
+            reach[v] = _back_reach(view, v)
+        return next(_paths(view, u, v, reach[v], view.n - 1), None) is not None
+
+    if first is not None and not joined(*first):
+        return first
+    for u in range(view.n):
+        for v in range(u + 1, view.n):
+            if not joined(u, v):
+                return u, v
+    return None
+
+
 def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
     """Every vertex pair joined by a proper path?  Witness = least failing pair."""
     if not is_connected(g):
         raise PreconditionError("proper connectivity is defined on connected graphs")
-    view = _View(g, coloring)
-    reach: dict[int, list[int]] = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if view.col[u][v]:
-                continue  # a single edge is always a proper path
-            if v not in reach:
-                reach[v] = _back_reach(view, v)
-            if next(_paths(view, u, v, reach[v], g.n - 1), None) is None:
-                return ConnectivityCheck(False, (u, v))
-    return ConnectivityCheck(True)
+    pair = _unjoined_pair(_View.of(g, coloring))
+    return ConnectivityCheck(pair is None, pair)
 
 
 def endpoint_color_pairs(g: Graph, coloring: EdgeColoring, u: int, v: int,
                          budget: int = DEFAULT_PATH_BUDGET) -> frozenset[tuple[int, int]]:
     """Exact set of (start, end) colors over all proper u-v paths."""
     _check_endpoints(g, u, v)
-    view = _View(g, coloring)
+    view = _View.of(g, coloring)
     pairs = {(colors[0], colors[-1]) for _, colors in
              _paths(view, u, v, _back_reach(view, v), g.n - 1, budget)}
     orig = view.orig
@@ -288,7 +313,7 @@ def has_strong_property(g: Graph, coloring: EdgeColoring,
         raise PreconditionError("the strong property is defined on connected graphs")
     if g.n == 1:
         return True
-    view = _View(g, coloring)
+    view = _View.of(g, coloring)
     # necessary: every vertex must see at least two colors on its incident edges
     for w in range(g.n):
         incident = {view.col[w][x] for x in view.nbr[w]}

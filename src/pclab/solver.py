@@ -1,13 +1,16 @@
 """Exact proper connection numbers with verified certificates.
 
 The upper bound comes by proof where one applies: a graph with a Hamiltonian
-path has pc <= 2 (Borozan et al., Discrete Math. 312, 2012), decided by an
-exact DP for n <= 12.  Otherwise it is the better of a spanning-tree coloring
+path has pc <= 2 (Borozan et al., Discrete Math. 312, 2012), decided for
+n <= 12 by a depth-first search that first rejects graphs with more than two
+vertices of degree 1.  Otherwise it is the better of a spanning-tree coloring
 and a greedy proper edge coloring.  Each k below it is decided by one pass
 over the canonical color assignments (color j+1 first appears after color j;
 bridges at a shared vertex differ), each edge trying its colors in a seeded
-random order.  A refutation visits every canonical assignment; a budget cutoff
-is reported as "unknown", never silently coerced into an answer.
+random order.  Each leaf is checked on the color matrix the pass keeps up to
+date, and the public checker verifies every certificate returned.  A
+refutation visits every canonical assignment; a budget cutoff is reported as
+"unknown", never silently coerced into an answer.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import EdgeColoring, has_strong_property, is_proper_connected
+from .coloring import (EdgeColoring, _unjoined_pair, _View, has_strong_property,
+                       is_proper_connected)
 from .errors import BudgetExceededError, ConstructionError, PreconditionError
 from .graph import Graph, _bits, bfs_distances, bridge_profile, is_connected
 
@@ -160,35 +164,53 @@ def greedy_proper_edge_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(max(top, 1) if g.m else 0, assignment)
 
 
-#: largest order given the Hamiltonian-path bound: its DP keeps 2^n vertex sets
+#: largest order given the Hamiltonian-path bound: the search behind it may
+#: still visit every (vertex set, end) state, n * 2^n of them, on a graph
+#: without such a path
 _TRACEABLE_MAX_N = 12
 
 
 def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
-    """A path through every vertex, or None: a DP over all 2^n vertex sets."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    # ends[s]: the vertices at which a path visiting exactly the set s can end
-    ends = [0] * (full + 1)
-    for v in range(g.n):
-        ends[1 << v] = 1 << v
-    for s in range(1, full):
-        reach = 0
-        for v in _bits(ends[s]):
-            reach |= adj[v]
-        for w in _bits(reach & ~s):
-            ends[s | 1 << w] |= 1 << w
-    if not ends[full]:
+    """The lexicographically least path through every vertex, or None.
+
+    A path has at most two ends, so more than two vertices of degree 1 rule it
+    out at once, and a degree-1 vertex can only be the last one entered.
+    Otherwise an iterative depth-first search extends paths from each start
+    in vertex order, least neighbor first, and stops at the first full path.
+    A (vertex set, end) state that failed once is never entered again.
+    """
+    n, adj = g.n, g.adj
+    if n == 1:
+        return (0,)
+    leaves = [v for v in range(n) if adj[v] & (adj[v] - 1) == 0]  # degree <= 1
+    if len(leaves) > 2 or any(adj[v] == 0 for v in leaves):
         return None
-    path = []
-    s, allowed = full, full
-    while s:  # walk back: each end has a neighbor ending the rest of the set
-        choice = ends[s] & allowed
-        v = (choice & -choice).bit_length() - 1
-        path.append(v)
-        s ^= 1 << v
-        allowed = adj[v]
-    return tuple(path)
+    full = (1 << n) - 1
+    leaf_mask = sum(1 << v for v in leaves)
+    dead: set[tuple[int, int]] = set()  # (visited, end): no way to cover the rest
+    # with two leaves, every such path runs from one to the other
+    for start in leaves[:1] if len(leaves) == 2 else range(n):
+        path = [start]
+        visited = 1 << start
+        stack = [adj[start] & ~visited]  # stack[i]: neighbors path[i] has yet to try
+        while stack:
+            if visited == full:
+                return tuple(path)
+            options = stack[-1]
+            if options:
+                bit = options & -options
+                stack[-1] = options ^ bit
+                w = bit.bit_length() - 1
+                if (bit & leaf_mask and visited | bit != full) or (visited | bit, w) in dead:
+                    continue
+                path.append(w)
+                visited |= bit
+                stack.append(adj[w] & ~visited)
+            else:
+                dead.add((visited, path[-1]))
+                stack.pop()
+                visited ^= 1 << path.pop()
+    return None
 
 
 def _is_star(g: Graph) -> bool:
@@ -243,18 +265,16 @@ class _Clock:
                 f"time budget exceeded during {stage}", stage=stage, stats=stats)
 
 
-def _verify(g: Graph, coloring: EdgeColoring, require_strong: bool) -> bool:
-    if require_strong:
-        return has_strong_property(g, coloring)
-    return is_proper_connected(g, coloring).ok
-
-
 def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
               stats: SolverStats, clock: _Clock) -> Optional[EdgeColoring]:
     """A verified k-coloring, or None after exhausting the canonical space.
 
     If vx and vy are bridges, every x-y path uses them one after the other, so
-    they need distinct colors: this prunes and loses no solution.
+    they need distinct colors: this prunes and loses no solution.  Without the
+    strong property, leaves are checked on one view whose color matrix follows
+    the current branch; canonical assignments use the colors 1..top, so each
+    color is its own rank.  The pair that rejected one leaf is tried first at
+    the next, and a leaf that passes is checked again by the public checker.
     """
     m = g.m
     if m == 0:
@@ -268,6 +288,9 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
     at = [0] * g.n  # bit c: a bridge at this vertex has color c on the current branch
     colors = [0] * m  # 0: uncolored
     top = [0] * (m + 1)  # top[i]: the highest color among the first i edges
+    view = _View(g, k)
+    col = view.col
+    failed = None  # the pair that rejected the last leaf
 
     def options(i: int) -> list[int]:
         taken = at[order[i][0]] | at[order[i][1]] if i < nb else 0
@@ -282,15 +305,15 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
         if nodes % 256 == 0:  # counts dead ends too, not only assignments
             clock.check(stage, stats)
         i = len(stack) - 1
+        u, v = order[i]
         if i < nb:  # take back the bridge's color: no other bridge at u or v has it
-            u, v = order[i]
             at[u] &= ~(1 << colors[i])
             at[v] &= ~(1 << colors[i])
         if not stack[i]:
-            colors[i] = 0
+            colors[i] = col[u][v] = col[v][u] = 0
             stack.pop()
             continue
-        c = colors[i] = stack[i].pop()
+        c = colors[i] = col[u][v] = col[v][u] = stack[i].pop()
         top[i + 1] = max(top[i], c)
         if i < nb:
             at[u] |= 1 << c
@@ -302,8 +325,17 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
         if stats.assignments > budget.max_assignments:
             raise BudgetExceededError(
                 f"assignment budget exceeded during {stage}", stage=stage, stats=stats)
-        coloring = EdgeColoring(k, dict(zip(order, colors)))
-        if _verify(g, coloring, require_strong):
+        if require_strong:
+            coloring = EdgeColoring(k, dict(zip(order, colors)))
+            if has_strong_property(g, coloring):
+                return coloring
+            continue
+        failed = _unjoined_pair(view, failed)
+        if failed is None:
+            coloring = EdgeColoring(k, dict(zip(order, colors)))
+            check = is_proper_connected(g, coloring)
+            if not check.ok:  # pragma: no cover - both run the same pair check
+                raise AssertionError(f"search leaf failed the checker at pair {check.witness}")
             return coloring
     return None
 

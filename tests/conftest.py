@@ -52,6 +52,35 @@ def brute_pc(g: Graph) -> int:
     raise AssertionError("every connected graph has pc <= m")
 
 
+def hamiltonian_path_dp(g: Graph):
+    """Lexicographically least Hamiltonian path, or None: a DP over all 2^n vertex sets."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    # ends[s]: the vertices at which a path visiting exactly the set s can end
+    ends = [0] * (full + 1)
+    for v in range(g.n):
+        ends[1 << v] = 1 << v
+    for s in range(1, full):
+        reach = 0
+        for v in range(g.n):
+            if ends[s] >> v & 1:
+                reach |= adj[v]
+        for w in range(g.n):
+            if (reach & ~s) >> w & 1:
+                ends[s | 1 << w] |= 1 << w
+    if not ends[full]:
+        return None
+    path = []
+    s, allowed = full, full
+    while s:  # walk back: each end has a neighbor ending the rest of the set
+        choice = ends[s] & allowed
+        v = (choice & -choice).bit_length() - 1
+        path.append(v)
+        s ^= 1 << v
+        allowed = adj[v]
+    return tuple(path)
+
+
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """Random spanning tree plus a random sprinkle of extra edges."""
     edges = set()

@@ -41,6 +41,12 @@ class TestPcCensus:
         with pytest.raises(UnsupportedSizeError):
             run_pc_census(2)
 
+    @pytest.mark.parametrize("n,assignments", [(5, 8), (6, 145), (7, 1810)])
+    def test_search_work_is_pinned(self, n, assignments):
+        # the solver's search order decides these counts: a change here means
+        # the order moved, not only the speed
+        assert run_pc_census(n).work["assignments"] == assignments
+
     def test_budget_cutoff_is_reported(self):
         budget = SolverBudget(max_assignments=0)
         cut = [graph6_encode(g) for g in enumerate_connected(5)

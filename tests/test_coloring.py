@@ -19,7 +19,9 @@ from pclab import (
     is_proper_path,
     parse_coloring,
 )
-from pclab.generators import complete_graph, cycle_graph, path_graph, star_graph
+from pclab.coloring import _unjoined_pair, _View
+from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
+                              star_graph)
 
 from conftest import naive_proper_paths, random_connected_graph, random_tree
 
@@ -183,6 +185,14 @@ class TestEndpointColorPairs:
         with pytest.raises(BudgetExceededError):
             endpoint_color_pairs(g, coloring, 0, 6, budget=10)
 
+    def test_budget_error_carries_entered_count(self):
+        g = complete_graph(7)
+        coloring = EdgeColoring.from_sequence(g, [i % 3 + 1 for i in range(g.m)])
+        with pytest.raises(BudgetExceededError) as caught:
+            endpoint_color_pairs(g, coloring, 0, 6, budget=10)
+        assert caught.value.stage == "path_enumeration"
+        assert caught.value.stats == {"entered": 11}
+
     def test_budget_counts_entered_vertices(self):
         # the budget caps vertices entered by the path search, the start included
         g = complete_graph(6)
@@ -278,6 +288,26 @@ class TestOracleEquivalence:
             assert check.ok == (not failing)
             assert check.witness == (failing[0] if failing else None)
             assert has_strong_property(g, coloring) == strong
+
+    def test_leaf_helper_matches_public_checker(self):
+        # the solver's leaf check: None exactly when the checker accepts; a
+        # failing try-first pair comes back as is, else the checker's witness
+        rng = random.Random(71)
+        graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+        graphs += [random_connected_graph(rng.randint(8, 9), rng) for _ in range(150)]
+        verdicts = set()
+        for g in graphs:
+            k = rng.randint(1, 4)
+            coloring = EdgeColoring.from_sequence(
+                g, [rng.randint(1, k) for _ in range(g.m)], k)
+            first = tuple(sorted(rng.sample(range(g.n), 2)))
+            check = is_proper_connected(g, coloring)
+            pair = _unjoined_pair(_View.of(g, coloring), first)
+            assert (pair is None) == check.ok, g
+            first_fails = find_proper_path(g, coloring, *first) is None
+            assert pair == (first if first_fails else check.witness), g
+            verdicts.add((check.ok, first_fails))
+        assert verdicts == {(True, False), (False, False), (False, True)}
 
     def test_color_permutation_equivariance(self):
         rng = random.Random(61)

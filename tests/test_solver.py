@@ -11,6 +11,7 @@ from pclab import (
     SolverStats,
     exact_pc,
     exists_k_coloring,
+    graph6_decode,
     greedy_proper_edge_coloring,
     has_strong_property,
     is_proper_connected,
@@ -33,7 +34,7 @@ from pclab.generators import (
 from pclab import solver
 from pclab.solver import hamiltonian_path, low_degree_spanning_tree
 
-from conftest import brute_pc, random_connected_graph, random_tree
+from conftest import brute_pc, hamiltonian_path_dp, random_connected_graph, random_tree
 
 
 def spider() -> Graph:
@@ -108,6 +109,29 @@ class TestTraceableBound:
                 assert all(g.has_edge(path[i], path[i + 1]) for i in range(n - 1))
         assert 0 < traceable < 120  # both outcomes are exercised
 
+    def test_dfs_matches_dp_oracle(self):
+        # trees, trees plus a few edges, dense graphs: the DFS must return the
+        # DP's path, the lexicographically least one, or None with it
+        rng = random.Random(137)
+        seen = set()
+        for n in range(8, 13):
+            for trial in range(15):
+                kind = ("tree", "tree_plus_edges", "dense")[trial % 3]
+                g = random_tree(n, rng)
+                if kind != "tree":
+                    p = 0.08 if kind == "tree_plus_edges" else 0.6
+                    extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if not g.has_edge(u, v) and rng.random() < p]
+                    g = Graph.from_edges(n, list(g.edges) + extra)
+                path = hamiltonian_path(g)
+                assert path == hamiltonian_path_dp(g), (kind, g)
+                leaves = sum(g.degree(v) == 1 for v in range(n))
+                seen.add((kind, path is not None, leaves <= 2))
+        assert ("tree_plus_edges", True, True) in seen
+        assert ("tree_plus_edges", False, True) in seen  # refuted by the search itself
+        assert ("tree", False, False) in seen  # refuted by its leaves alone
+        assert ("dense", True, True) in seen
+
     def test_traceable_beats_every_bfs_tree(self):
         g = wheel(7)
         assert low_degree_spanning_tree(g).max_degree >= 3
@@ -160,6 +184,24 @@ class TestExistsKColoring:
         with pytest.raises(BudgetExceededError):
             exists_k_coloring(g, 3, budget=SolverBudget(max_seconds=0.1), stats=stats)
         assert stats.assignments == 0
+
+    def test_public_checker_sees_only_certificates(self, monkeypatch):
+        # leaves are checked on the search's own view; the public checker
+        # re-verifies only the coloring the search returns
+        checked = []
+
+        def counting(g, coloring):
+            checked.append(coloring)
+            return is_proper_connected(g, coloring)
+
+        monkeypatch.setattr(solver, "is_proper_connected", counting)
+        stats = SolverStats()
+        assert exists_k_coloring(star_plus_edge(5), 2, stats=stats) is None
+        assert stats.assignments == 8 and checked == []
+        g = graph6_decode("E@vO")
+        found = exists_k_coloring(g, 2, stats=stats)
+        assert stats.assignments == 8 + 24  # 23 leaves rejected before this one
+        assert checked == [found]
 
     def test_deep_search_needs_no_recursion(self):
         n = 47
