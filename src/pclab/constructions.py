@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import (
-    EdgeColoring,
-    find_proper_path,
-    has_strong_property,
-    is_proper_connected,
-)
+from .coloring import EdgeColoring, has_strong_property, is_proper_connected
 from .errors import ConstructionError, PreconditionError
 from .generators import FamilySpec, generate
 from .graph import (
@@ -91,62 +86,44 @@ def _verified(h: Graph, assignment: dict, k: int, branch: str,
 
 def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
                            coloring: EdgeColoring) -> EdgeColoring:
-    """Extend a strong coloring of a core subgraph to h plus <= 2 outside vertices.
+    """Extend a strong coloring of a core subgraph to h plus <= 1 outside vertex.
 
     ``coloring`` colors a subset of h's edges inside ``core`` and must make
     that colored subgraph proper connected with the strong property.  The
-    attachment edges follow the two-path argument; every remaining edge gets
-    a fixed filler color.
+    outside vertex's edges get color 1: of the two proper core paths into a
+    neighbor that the strong property gives, one ends in another color, and
+    that edge continues it.  Every uncolored core edge gets the filler color 2.
     """
-    core_set = sorted(set(core))
-    outside = [v for v in range(h.n) if v not in set(core_set)]
-    if len(outside) > 2:
-        raise PreconditionError(f"at most 2 vertices may sit outside the core, got {len(outside)}")
+    for v in core:
+        if not 0 <= v < h.n:
+            raise ValueError(f"core vertex {v} outside 0..{h.n - 1}")
+    core_set = set(core)
+    outside = [v for v in range(h.n) if v not in core_set]
+    if len(outside) > 1:
+        raise PreconditionError(f"at most 1 vertex may sit outside the core, got {len(outside)}")
     if coloring.k < 2:
         raise PreconditionError("the core coloring must use at least 2 colors")
-    core_edges = set(coloring.assignment)
-    bad = [e for e in core_edges if not h.has_edge(*e)]
+    bad = [e for e in coloring.assignment if not h.has_edge(*e)]
     if bad:
         raise PreconditionError(f"core coloring refers to non-edges: {bad[:3]}")
-    sub, idx = induced_subgraph(h, core_set)
+    idx = {v: i for i, v in enumerate(sorted(core_set))}
     sub_edges = {}
     for (u, v), c in coloring.assignment.items():
         if u not in idx or v not in idx:
             raise PreconditionError(f"core coloring uses vertex outside the core: ({u},{v})")
         a, b = idx[u], idx[v]
         sub_edges[(a, b) if a < b else (b, a)] = c
-    core_graph = Graph.from_edges(sub.n, sub_edges.keys())
-    core_coloring = EdgeColoring(coloring.k, sub_edges)
-    if not has_strong_property(core_graph, core_coloring):
+    core_graph = Graph.from_edges(len(idx), sub_edges.keys())
+    if not has_strong_property(core_graph, EdgeColoring(coloring.k, sub_edges)):
         raise PreconditionError("core coloring lacks the strong property")
+    for v in outside:
+        if h.adj[v] == 0:
+            raise PreconditionError(f"outside vertex {v} has no neighbor in the core")
 
     assignment = dict(coloring.assignment)
-    chosen: dict[tuple[int, int], int] = {}
-    nbrs = [sorted(w for w in _bits(h.adj[v]) if w in set(core_set)) for v in outside]
-    for v, nb in zip(outside, nbrs):
-        if not nb:
-            raise PreconditionError(f"outside vertex {v} has no neighbor in the core")
-    if len(outside) == 2:
-        v1, v2 = outside
-        common = sorted(set(nbrs[0]) & set(nbrs[1]))
-        if common:
-            u = common[0]
-            chosen[_key(u, v1)] = 1
-            chosen[_key(u, v2)] = 2
-        else:
-            u1, u2 = nbrs[0][0], nbrs[1][0]
-            path = find_proper_path(core_graph, core_coloring, idx[u1], idx[u2])
-            if path is None:  # pragma: no cover - core is proper connected
-                raise ConstructionError("core claims connectivity but has no path")
-            chosen[_key(u1, v1)] = _least_color_avoiding(path.start_color)
-            chosen[_key(u2, v2)] = _least_color_avoiding(path.end_color)
-    elif len(outside) == 1:
-        chosen[_key(nbrs[0][0], outside[0])] = 1
-    assignment.update(chosen)
     for e in h.edges:
         if e not in assignment:
             u, v = e
-            # new-vertex edges default to 1, uncolored core edges to the filler 2
             assignment[e] = 1 if (u in outside or v in outside) else 2
     result = EdgeColoring(max(coloring.k, 2), assignment)
     check = is_proper_connected(h, result)
@@ -157,10 +134,6 @@ def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
 
 def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
-
-
-def _least_color_avoiding(banned: int) -> int:
-    return 2 if banned == 1 else 1
 
 
 def color_complement_diam_ge4(g: Graph) -> Construction:

@@ -1,23 +1,23 @@
 """Exact proper connection numbers with verified certificates.
 
-The upper bound comes by proof where one applies: a graph with a Hamiltonian
-path has pc <= 2 (Borozan et al., Discrete Math. 312, 2012), decided for
-n <= 12 by a depth-first search that first rejects graphs with more than two
-vertices of degree 1.  Otherwise it is the better of a spanning-tree coloring
-and a greedy proper edge coloring.  Each k below it is decided by one pass
-over the canonical color assignments (color j+1 first appears after color j;
-bridges at a shared vertex differ), each edge trying its colors in a seeded
-random order.  Each leaf is checked on the color matrix the pass keeps up to
-date, and the public checker verifies every certificate returned.  A
-refutation visits every canonical assignment; a budget cutoff is reported as
-"unknown", never silently coerced into an answer.
+The upper bound is pc(G) <= pc(T) = max degree of T for a spanning tree T
+(Borozan et al., Discrete Math. 312, 2012).  T is a Hamiltonian path where one
+exists, found for n <= 12 by a depth-first search that first rejects graphs
+with more than two vertices of degree 1; otherwise the BFS tree of least
+maximum degree.  Each k below it is decided by one pass over the canonical
+color assignments (color j+1 first appears after color j; bridges at a shared
+vertex differ), each edge trying its colors in a seeded random order.  Each
+leaf is checked on the color matrix the pass keeps up to date, and the public
+checker verifies every certificate returned.  A refutation visits every
+canonical assignment; a budget cutoff is reported as "unknown", never
+silently coerced into an answer.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coloring import (EdgeColoring, _unjoined_pair, _View, has_strong_property,
                        is_proper_connected)
@@ -57,7 +57,7 @@ class LowerBound:
 @dataclass(frozen=True)
 class UpperBound:
     value: int
-    tag: str  # traceable | spanning_tree_delta | greedy_proper_edge_coloring | star_exact
+    tag: str  # traceable | spanning_tree_delta | star_exact
     certificate: EdgeColoring
 
 
@@ -114,25 +114,23 @@ def _bfs_tree_masks(g: Graph, root: int) -> list[int]:
 
 def low_degree_spanning_tree(g: Graph) -> Graph:
     """The BFS tree of least maximum degree over all roots (least root on ties)."""
-    trees = (Graph(g.n, tuple(_bfs_tree_masks(g, root))) for root in range(g.n))
-    return min(trees, key=lambda t: t.max_degree)
+    trees = (_bfs_tree_masks(g, root) for root in range(g.n))
+    return Graph(g.n, tuple(min(trees, key=lambda t: max(a.bit_count() for a in t))))
 
 
-def tree_proper_coloring(t: Graph) -> EdgeColoring:
-    """Proper edge coloring of a tree with exactly max-degree colors.
+def _tree_coloring(tree: Sequence[int], root: int) -> dict[tuple[int, int], int]:
+    """Root-down greedy coloring of a tree given by its neighbor masks.
 
-    Root-down greedy: each vertex's child edges avoid the parent edge color,
-    so every tree path is proper.
+    Each vertex's child edges take the least colors that avoid its parent edge
+    color, so adjacent edges differ, every tree path is proper, and exactly
+    max-degree colors are used.
     """
-    if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
-        raise PreconditionError("input must be a tree on >= 2 vertices")
-    delta = t.max_degree
     assignment: dict[tuple[int, int], int] = {}
-    stack = [(0, -1, 0)]  # vertex, parent, color of parent edge
+    stack = [(root, -1, 0)]  # vertex, parent, color of parent edge
     while stack:
         v, parent, pcolor = stack.pop()
         c = 0
-        for w in _bits(t.adj[v]):
+        for w in _bits(tree[v]):
             if w == parent:
                 continue
             c += 1
@@ -140,7 +138,14 @@ def tree_proper_coloring(t: Graph) -> EdgeColoring:
                 c += 1
             assignment[(v, w) if v < w else (w, v)] = c
             stack.append((w, v, c))
-    coloring = EdgeColoring(delta, assignment)
+    return assignment
+
+
+def tree_proper_coloring(t: Graph) -> EdgeColoring:
+    """Proper edge coloring of a tree with exactly max-degree colors, rooted at 0."""
+    if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
+        raise PreconditionError("input must be a tree on >= 2 vertices")
+    coloring = EdgeColoring(t.max_degree, _tree_coloring(t.adj, 0))
     check = is_proper_connected(t, coloring)
     if not check.ok:  # pragma: no cover - proper edge colorings always pass
         raise ConstructionError(f"tree coloring failed at pair {check.witness}")
@@ -218,35 +223,33 @@ def _is_star(g: Graph) -> bool:
 
 
 def pc_upper_bound(g: Graph) -> UpperBound:
+    """pc(g) <= pc(T) = max degree of T for a spanning tree T, with its certificate.
+
+    T is a Hamiltonian path where the search for one runs and finds it, else
+    the BFS tree of least maximum degree.  T is colored root-down and every
+    other edge gets color 1, which cannot break a proper tree path.
+    """
     if g.n < 2:
         raise PreconditionError("upper bound is defined for n >= 2")
     if not is_connected(g):
         raise PreconditionError("upper bound requires a connected graph")
     path = hamiltonian_path(g) if 3 <= g.n <= _TRACEABLE_MAX_N else None
     if path is not None:
-        # proper along the path, so every pair is joined by a proper subpath
-        assignment = dict.fromkeys(g.edges, 1)
-        for i in range(1, g.n - 1, 2):
-            u, v = path[i], path[i + 1]
-            assignment[(u, v) if u < v else (v, u)] = 2
-        value, tag, cert = 2, "traceable", EdgeColoring(2, assignment)
+        tree = [0] * g.n
+        for u, v in zip(path, path[1:]):
+            tree[u] |= 1 << v
+            tree[v] |= 1 << u
+        root, tag = path[0], "traceable"
     else:
-        tree = low_degree_spanning_tree(g)
-        delta = tree.max_degree
-        assignment = dict(tree_proper_coloring(tree).assignment)
-        for e in g.edges:
-            assignment.setdefault(e, 1)  # extra edges never break the tree's proper paths
-        greedy = greedy_proper_edge_coloring(g)
-        if greedy.k < delta:
-            value, tag, cert = greedy.k, "greedy_proper_edge_coloring", greedy
-        else:
-            value, tag, cert = delta, "spanning_tree_delta", EdgeColoring(delta, assignment)
-        if _is_star(g):
-            tag = "star_exact"
+        tree, root = low_degree_spanning_tree(g).adj, 0
+        tag = "star_exact" if _is_star(g) else "spanning_tree_delta"
+    assignment = dict.fromkeys(g.edges, 1)
+    assignment.update(_tree_coloring(tree, root))
+    cert = EdgeColoring(max(a.bit_count() for a in tree), assignment)
     check = is_proper_connected(g, cert)
     if not check.ok:  # pragma: no cover - construction is provably valid
         raise AssertionError(f"upper bound certificate failed at pair {check.witness}")
-    return UpperBound(value, tag, cert)
+    return UpperBound(cert.k, tag, cert)
 
 
 def pc_bounds(g: Graph) -> Bounds:

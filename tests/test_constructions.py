@@ -96,19 +96,6 @@ class TestExtendStrongColoring:
         out = extend_strong_coloring(h, range(4), coloring)
         assert out.k == 2 and is_proper_connected(h, out)
 
-    def test_two_pendants_sharing_a_vertex(self):
-        core, coloring = self.alternating_cycle(4)
-        h = Graph.from_edges(6, list(core.edges) + [(2, 4), (2, 5)])
-        out = extend_strong_coloring(h, range(4), coloring)
-        assert is_proper_connected(h, out)
-        assert {out.color(2, 4), out.color(2, 5)} == {1, 2}
-
-    def test_two_pendants_distinct_vertices(self):
-        core, coloring = self.alternating_cycle(6)
-        h = Graph.from_edges(8, list(core.edges) + [(0, 6), (3, 7)])
-        out = extend_strong_coloring(h, range(6), coloring)
-        assert is_proper_connected(h, out)
-
     def test_rejects_weak_core(self):
         t = path_graph(4)
         coloring = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
@@ -116,11 +103,18 @@ class TestExtendStrongColoring:
         with pytest.raises(PreconditionError, match="strong"):
             extend_strong_coloring(h, range(4), coloring)
 
-    def test_rejects_three_outside_vertices(self):
+    def test_rejects_two_outside_vertices(self):
         core, coloring = self.alternating_cycle(4)
-        h = Graph.from_edges(7, list(core.edges) + [(0, 4), (0, 5), (0, 6)])
-        with pytest.raises(PreconditionError, match="at most 2"):
+        h = Graph.from_edges(6, list(core.edges) + [(2, 4), (2, 5)])
+        with pytest.raises(PreconditionError, match="at most 1"):
             extend_strong_coloring(h, range(4), coloring)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_rejects_core_vertex_out_of_range(self, bad):
+        core, coloring = self.alternating_cycle(4)
+        h = Graph.from_edges(5, list(core.edges) + [(1, 4)])
+        with pytest.raises(ValueError, match=rf"core vertex {bad} outside 0\.\.4"):
+            extend_strong_coloring(h, [0, 1, 2, 3, bad], coloring)
 
 
 class TestDiamGe4:

@@ -3,9 +3,11 @@
 A function-level import usually hides an import cycle; keeping them out means
 a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
-outlive the code that used them.
+outlive the code that used them, and private module-level names that outlive
+their last caller.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pclab
@@ -58,3 +60,45 @@ def unused_imports():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def _mentions(node) -> list[str]:
+    """Names a node's subtree reads: loads, attribute names and imported names."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found += [a.name for a in sub.names]
+    return found
+
+
+def unreferenced_private_names():
+    """(module, name) for each module-level ``_private`` name the package never uses.
+
+    A use inside the name's own definition, such as a recursive call, does not
+    count.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    mentions = Counter(name for tree in trees.values() for name in _mentions(tree))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = Counter(_mentions(node))
+            found += [(module, name) for name in defined
+                      if name.startswith("_") and not name.startswith("__")
+                      and mentions[name] == own[name]]
+    return found
+
+
+def test_every_private_name_is_used():
+    assert unreferenced_private_names() == []

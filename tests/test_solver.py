@@ -42,6 +42,12 @@ def spider() -> Graph:
     return Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
 
+def wheel(n: int) -> Graph:
+    """Hub 0 joined to every vertex of the cycle 1..n-1."""
+    rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)] + rim)
+
+
 class TestBounds:
     def test_complete_lower_is_one(self):
         lb = pc_lower_bound(complete_graph(6))
@@ -85,11 +91,35 @@ class TestBounds:
         with pytest.raises(PreconditionError):
             pc_lower_bound(Graph(1, (0,)))
 
+    @pytest.mark.parametrize("g", [spider(), wheel(7)], ids=["spider", "wheel7"])
+    def test_one_checker_call_per_bound(self, g, monkeypatch):
+        # the tree coloring is proper by construction: only the certificate
+        # on g goes through the public checker
+        checked = []
 
-def wheel(n: int) -> Graph:
-    """Hub 0 joined to every vertex of the cycle 1..n-1."""
-    rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)] + rim)
+        def counting(h, coloring):
+            checked.append(coloring)
+            return is_proper_connected(h, coloring)
+
+        monkeypatch.setattr(solver, "is_proper_connected", counting)
+        ub = pc_upper_bound(g)
+        assert checked == [ub.certificate]
+
+    def test_certificate_shapes_across_census(self):
+        # a Hamiltonian path alternates 1, 2, 1, ... from its first vertex;
+        # otherwise the value is the least BFS-tree degree; other edges get 1
+        for n in range(2, 8):
+            for g in enumerate_connected(n):
+                ub = pc_upper_bound(g)
+                assert ub.tag in ("traceable", "spanning_tree_delta", "star_exact")
+                path = hamiltonian_path(g) if n >= 3 else None
+                if path is None:
+                    assert ub.value == low_degree_spanning_tree(g).max_degree
+                    continue
+                assert ub.tag == "traceable" and ub.value == ub.certificate.k == 2
+                on_path = {(min(e), max(e)): i % 2 + 1
+                           for i, e in enumerate(zip(path, path[1:]))}
+                assert dict(ub.certificate.assignment) == {e: on_path.get(e, 1) for e in g.edges}
 
 
 class TestTraceableBound:
