@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -20,14 +20,7 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, ConstructionError, UnsupportedSizeError
 from .generators import double_star, enumerate_connected
-from .graph import (
-    Graph,
-    are_isomorphic,
-    complement,
-    diameter,
-    is_connected,
-    structure_flags,
-)
+from .graph import Graph, are_isomorphic, complement, diameter, is_connected
 from .graph6 import graph6_encode
 from .solver import DEFAULT_BUDGET, SolverBudget, exact_pc
 
@@ -61,26 +54,10 @@ class CensusReport:
                 and not self.classification_mismatches and self.discrepancies == 0)
 
     def to_json(self) -> str:
-        data = {
-            "kind": self.kind,
-            "check": self.check,
-            "n": self.n,
-            "total_graphs": self.total_graphs,
-            "qualifying": self.qualifying,
-            "pc_histogram": {str(k): v for k, v in sorted(self.pc_histogram.items())},
-            "classification_matches": self.classification_matches,
-            "classification_mismatches": self.classification_mismatches,
-            "ng_pairs": self.ng_pairs,
-            "max_sum": self.max_sum,
-            "max_sum_witnesses": self.max_sum_witnesses,
-            "violations": self.violations,
-            "discrepancies": self.discrepancies,
-            "complete": self.complete,
-            "passed": self.passed,
-            "work": self.work,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
+        data = asdict(self)
+        data["passed"] = self.passed
+        # sort_keys orders str keys as text ("10" before "2"), as reports always have
+        data["pc_histogram"] = {str(k): v for k, v in self.pc_histogram.items()}
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
     def mark_cutoff(self, g: Graph) -> None:
@@ -157,25 +134,6 @@ def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
     return report
 
 
-def _sweep_prop37(n: int, report: CensusReport) -> None:
-    """g = K_1 + one connected triangle-free component on n-1 vertices."""
-    for comp in enumerate_connected(n - 1):
-        report.total_graphs += 1
-        if not structure_flags(comp).triangle_free:
-            continue
-        report.qualifying += 1
-        g = Graph(n, comp.adj + (0,))
-        try:
-            built = color_complement_with_trivial_component(g)
-        except ConstructionError as exc:
-            report.violations.append(f"{graph6_encode(g)}: {exc}")
-            continue
-        if built.coloring.k > 2:
-            report.violations.append(f"{graph6_encode(g)}: used {built.coloring.k} colors")
-        if built.discrepancy:
-            report.discrepancies += 1
-
-
 def run_construction_sweep(n: int, check: str,
                            budget: SolverBudget | None = None) -> CensusReport:
     """Verify one family of constructions over every qualifying census graph."""
@@ -188,13 +146,12 @@ def run_construction_sweep(n: int, check: str,
         raise UnsupportedSizeError(f"construction sweeps support 2 <= n <= 8, got {n}")
     report = CensusReport("construction_sweep", check, n, 0, 0,
                           seed=(budget or DEFAULT_BUDGET).seed)
-    if check == "prop37":
-        _sweep_prop37(n, report)
-        report.work = {"graphs": report.total_graphs}
-        return report
-    for g in enumerate_connected(n):
+    if check == "prop37":  # K_1 plus one connected class of order n-1
+        graphs = (Graph(n, comp.adj + (0,)) for comp in enumerate_connected(n - 1))
+    else:
+        graphs = enumerate_connected(n)
+    for g in graphs:
         report.total_graphs += 1
-        flags = structure_flags(g)
         try:
             if check == "thm31":
                 if diameter(g) < 4:
@@ -202,18 +159,23 @@ def run_construction_sweep(n: int, check: str,
                 report.qualifying += 1
                 built = color_complement_diam_ge4(g)
             elif check == "thm33":
-                if not flags.triangle_free or diameter(g) != 3:
+                if not g.triangle_free or diameter(g) != 3:
                     continue
                 report.qualifying += 1
                 built = color_complement_diam3_trianglefree(g)
             elif check == "thm36":
-                if (not flags.triangle_free or flags.complete or diameter(g) != 2
+                if (not g.triangle_free or g.complete or diameter(g) != 2
                         or not is_connected(complement(g))):
                     continue
                 report.qualifying += 1
                 built = color_complement_diam2_trianglefree(g)
+            elif check == "prop37":
+                if not g.triangle_free:
+                    continue
+                report.qualifying += 1
+                built = color_complement_with_trivial_component(g)
             else:  # thm38: triangle-free complement forces pc(g) = 2
-                if flags.complete or not structure_flags(complement(g)).triangle_free:
+                if g.complete or not complement(g).triangle_free:
                     continue
                 report.qualifying += 1
                 result = exact_pc(g, budget=budget)

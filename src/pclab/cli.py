@@ -141,24 +141,20 @@ def _cmd_color_complement(args) -> int:
     h = complement(g)
     if args.method == "auto":
         result = auto_pc2_complement(g)
-        if result.outcome == "colored":
-            built = result.construction
-            _emit([("outcome", "colored"), ("branch", built.branch),
-                   ("colors", built.coloring.k),
-                   ("discrepancy", built.discrepancy)], args.json)
-            if not args.json:
-                sys.stdout.write(format_coloring(built.coloring, h))
-            return EXIT_OK
-        pairs = [("outcome", result.outcome), ("reason", result.reason or "")]
-        if result.analysis is not None:
-            ana = result.analysis
-            pairs += [("case", ana.case), ("n1", ana.n1), ("n2", ana.n2),
-                      ("n3", ana.n3), ("n1_prime", ana.n1_prime),
-                      ("n2_prime", ana.n2_prime),
-                      ("lower_bound", ana.lower_bound if ana.lower_bound is not None else "")]
-        _emit(pairs, args.json)
-        return EXIT_FALSE
-    built = METHODS[args.method](g)
+        if result.outcome != "colored":
+            pairs = [("outcome", result.outcome), ("reason", result.reason or "")]
+            if result.analysis is not None:
+                ana = result.analysis
+                pairs += [("case", ana.case), ("n1", ana.n1), ("n2", ana.n2),
+                          ("n3", ana.n3), ("n1_prime", ana.n1_prime),
+                          ("n2_prime", ana.n2_prime),
+                          ("lower_bound",
+                           ana.lower_bound if ana.lower_bound is not None else "")]
+            _emit(pairs, args.json)
+            return EXIT_FALSE
+        built = result.construction
+    else:
+        built = METHODS[args.method](g)
     _emit([("outcome", "colored"), ("branch", built.branch),
            ("colors", built.coloring.k), ("discrepancy", built.discrepancy)], args.json)
     if not args.json:

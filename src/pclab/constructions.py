@@ -23,7 +23,6 @@ from .graph import (
     induced_subgraph,
     is_connected,
     layered_view,
-    structure_flags,
 )
 from .solver import exists_k_coloring
 
@@ -191,8 +190,7 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
     raises the discrepancy flag if they ever fail.
     """
     lv = layered_view(g)
-    return _color_complement_diam3(g, lv, _analyze_diam3(g, lv),
-                                   structure_flags(g).triangle_free)
+    return _color_complement_diam3(g, lv, _analyze_diam3(g, lv), g.triangle_free)
 
 
 def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
@@ -264,7 +262,7 @@ def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement of a triangle-free diameter-2 graph."""
     lv = layered_view(g)
-    if not structure_flags(g).triangle_free:
+    if not g.triangle_free:
         raise PreconditionError("input must be triangle-free")
     if lv.diameter != 2:
         raise PreconditionError("input must have diameter 2")
@@ -285,7 +283,7 @@ def color_complement_with_trivial_component(g: Graph) -> Construction:
     comps = components(g)
     if len(comps) != 2 or min(len(c) for c in comps) != 1:
         raise PreconditionError("input must have exactly two components, one trivial")
-    if not structure_flags(g).triangle_free:
+    if not g.triangle_free:
         raise PreconditionError("input must be triangle-free")
     solo = min(comps, key=len)[0]
     rest = [c for c in comps if len(c) > 1 or c[0] != solo][0]
@@ -374,7 +372,7 @@ def _color_complement_multipartite(g: Graph, comps) -> Construction:
 def auto_pc2_complement(g: Graph) -> DispatchResult:
     """Route to whichever complement coloring applies; report bounds otherwise."""
     h = complement(g)
-    if h.m == h.n * (h.n - 1) // 2:
+    if h.complete:
         coloring = EdgeColoring(1 if h.m else 0, {e: 1 for e in h.edges})
         check = is_proper_connected(h, coloring)
         if not check.ok:  # pragma: no cover
@@ -382,21 +380,21 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
         return DispatchResult("colored", Construction(coloring, "complement_complete", False))
     comps = components(g)
     if len(comps) == 1:
-        flags = structure_flags(g)
-        if flags.complete:
+        if g.complete:
             raise PreconditionError("complete input: its complement is edgeless")
         lv = layered_view(g)
         if lv.diameter >= 4:
             return DispatchResult("colored", _color_complement_diam_ge4(g, lv))
         if lv.diameter == 3:
             ana = _analyze_diam3(g, lv)
-            if flags.triangle_free or ana.case in (CASE_ALL_ONES, CASE_N2_ONE_N3_BIG):
-                built = _color_complement_diam3(g, lv, ana, flags.triangle_free)
+            triangle_free = g.triangle_free
+            if triangle_free or ana.case in (CASE_ALL_ONES, CASE_N2_ONE_N3_BIG):
+                built = _color_complement_diam3(g, lv, ana, triangle_free)
                 return DispatchResult("colored", built, analysis=ana)
             return DispatchResult("lower_bound", analysis=ana,
                                   reason="diameter 3 with triangles: pc of the complement "
                                          "may be large; reporting the layer lower bound")
-        if flags.triangle_free:
+        if g.triangle_free:
             if is_connected(h):
                 return DispatchResult("colored", color_complement_diam2_trianglefree(g))
             return DispatchResult("no_construction",
@@ -405,7 +403,7 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
                               reason="diameter 2 with triangles: no 2-coloring available")
     sizes = sorted(len(c) for c in comps)
     if len(comps) == 2 and sizes[0] == 1:
-        if structure_flags(g).triangle_free:
+        if g.triangle_free:
             return DispatchResult("colored", color_complement_with_trivial_component(g))
         return DispatchResult("no_construction",
                               reason="two components with triangles: no 2-coloring available")

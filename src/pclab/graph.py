@@ -77,6 +77,14 @@ class Graph:
     def max_degree(self) -> int:
         return max(a.bit_count() for a in self.adj)
 
+    @property
+    def complete(self) -> bool:
+        return self.m == self.n * (self.n - 1) // 2
+
+    @property
+    def triangle_free(self) -> bool:
+        return all(self.adj[u] & self.adj[v] == 0 for u, v in self.edges)
+
 
 @dataclass(frozen=True)
 class LayeredView:
@@ -285,10 +293,13 @@ def _parity_distances(g: Graph, dist0: Sequence[int]) -> list[int] | None:
 
 
 def structure_flags(g: Graph) -> StructureFlags:
+    """All five flags at once, as ``pclab info`` prints them.
+
+    A caller that needs one flag reads it directly: ``Graph.complete``,
+    ``Graph.triangle_free`` or ``is_connected``.
+    """
     dist0 = bfs_distances(g, 0)
     connected = -1 not in dist0
-    complete = g.m == g.n * (g.n - 1) // 2
-    triangle_free = all(g.adj[u] & g.adj[v] == 0 for u, v in g.edges)
     if g.n >= 3 and connected:
         _, artic = _dfs_low(g)
         two_connected = not artic
@@ -296,9 +307,9 @@ def structure_flags(g: Graph) -> StructureFlags:
         two_connected = False
     return StructureFlags(
         connected=connected,
-        complete=complete,
+        complete=g.complete,
         bipartite=_parity_distances(g, dist0) is not None,
-        triangle_free=triangle_free,
+        triangle_free=g.triangle_free,
         two_connected=two_connected,
     )
 

@@ -91,7 +91,7 @@ def pc_lower_bound(g: Graph) -> LowerBound:
         raise PreconditionError("lower bound is defined for n >= 2")
     if not is_connected(g):
         raise PreconditionError("lower bound requires a connected graph")
-    if g.m == g.n * (g.n - 1) // 2:
+    if g.complete:
         return LowerBound(1, "complete")
     b = bridge_profile(g).b
     return LowerBound(max(2, b), "bridges" if b >= 3 else "noncomplete")

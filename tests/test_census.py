@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import pclab.census
+import pclab.graph
 from pclab import (
+    BudgetExceededError,
     SolverBudget,
     UnsupportedSizeError,
     are_isomorphic,
@@ -122,6 +125,40 @@ class TestSweeps:
         report = run_construction_sweep(5, "thm38")
         assert report.qualifying > 0 and report.passed
 
+    @pytest.mark.parametrize("check,total,qualifying", [
+        ("thm31", 853, 92), ("thm33", 853, 28), ("thm36", 853, 3),
+        ("prop37", 112, 19), ("thm38", 853, 103)])
+    def test_selection_is_pinned_at_n7(self, check, total, qualifying):
+        # each predicate is the theorem's hypothesis: a rewrite that selects
+        # other graphs changes these counts
+        report = run_construction_sweep(7, check)
+        assert (report.total_graphs, report.qualifying) == (total, qualifying)
+        assert report.passed
+
+    @pytest.mark.parametrize("check", ["thm31", "thm33", "thm36", "prop37"])
+    def test_hypotheses_need_no_articulation_points(self, check, monkeypatch):
+        # diameter, triangle-freeness, completeness and complement connectivity
+        # are all a construction sweep reads; thm38 is left out because exact_pc
+        # takes the bridge profile of every graph it solves
+        calls = []
+        dfs_low = pclab.graph._dfs_low
+        monkeypatch.setattr(pclab.graph, "_dfs_low",
+                            lambda g: calls.append(g) or dfs_low(g))
+        assert run_construction_sweep(6, check).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("check,construction", [
+        ("thm31", "color_complement_diam_ge4"),
+        ("prop37", "color_complement_with_trivial_component")])
+    def test_budget_cutoff_is_reported(self, check, construction, monkeypatch):
+        def cut(g):
+            raise BudgetExceededError("cut")
+
+        monkeypatch.setattr(pclab.census, construction, cut)
+        report = run_construction_sweep(5, check)
+        assert report.qualifying > 0 and not report.complete and not report.passed
+        assert len(report.violations) == report.qualifying
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_construction_sweep(5, "thm99")
@@ -137,7 +174,7 @@ class TestDisconnectedComplementCoverage:
         checked = 0
         for n in range(4, 8):
             for g in enumerate_connected(n):
-                if g.m == g.n * (g.n - 1) // 2:
+                if g.complete:
                     continue  # complete graphs sit outside the claim
                 h = complement(g)
                 comps = components(h)
