@@ -64,7 +64,6 @@ from .solver import (
     StrongResult,
     exact_pc,
     exists_k_coloring,
-    greedy_proper_edge_coloring,
     pc_bounds,
     pc_lower_bound,
     pc_upper_bound,
@@ -82,7 +81,6 @@ from .constructions import (
     color_complement_diam3_trianglefree,
     color_complement_diam_ge4,
     color_complement_with_trivial_component,
-    extend_strong_coloring,
 )
 from .census import (
     CensusReport,

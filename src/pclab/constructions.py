@@ -1,22 +1,22 @@
 """Constructive colorings of complements driven by diameter and triangle-freeness.
 
-Each construction colors the complement of its input with two colors and
-re-verifies the certificate before returning it; extra complement edges
-outside the spanning structure a proof colors get color 2, which cannot break
-any certified path.
+Each construction colors the complement of its input literally with two
+colors and re-verifies the certificate before returning it; extra complement
+edges outside the spanning structure a proof colors get color 2, which cannot
+break any certified path.  A search runs only as the fallback of the two
+triangle-free diameter-3 cases, which flags the result as a discrepancy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .coloring import EdgeColoring, has_strong_property, is_proper_connected
+from .coloring import EdgeColoring, is_proper_connected
 from .errors import ConstructionError, PreconditionError
 from .generators import FamilySpec, generate
 from .graph import (
     Graph,
     LayeredView,
-    _bits,
     canonical_form,
     complement,
     components,
@@ -24,7 +24,7 @@ from .graph import (
     is_connected,
     layered_view,
 )
-from .solver import exists_k_coloring
+from .solver import exists_k_coloring, tree_proper_coloring
 
 CASE_ALL_ONES = "all_ones"
 CASE_N2_ONE_N3_BIG = "n2_one_n3_big"
@@ -83,56 +83,26 @@ def _verified(h: Graph, assignment: dict, k: int, branch: str,
     return Construction(coloring, branch, discrepancy)
 
 
-def extend_strong_coloring(h: Graph, core: tuple[int, ...] | list[int],
-                           coloring: EdgeColoring) -> EdgeColoring:
-    """Extend a strong coloring of a core subgraph to h plus <= 1 outside vertex.
-
-    ``coloring`` colors a subset of h's edges inside ``core`` and must make
-    that colored subgraph proper connected with the strong property.  The
-    outside vertex's edges get color 1: of the two proper core paths into a
-    neighbor that the strong property gives, one ends in another color, and
-    that edge continues it.  Every uncolored core edge gets the filler color 2.
-    """
-    for v in core:
-        if not 0 <= v < h.n:
-            raise ValueError(f"core vertex {v} outside 0..{h.n - 1}")
-    core_set = set(core)
-    outside = [v for v in range(h.n) if v not in core_set]
-    if len(outside) > 1:
-        raise PreconditionError(f"at most 1 vertex may sit outside the core, got {len(outside)}")
-    if coloring.k < 2:
-        raise PreconditionError("the core coloring must use at least 2 colors")
-    bad = [e for e in coloring.assignment if not h.has_edge(*e)]
-    if bad:
-        raise PreconditionError(f"core coloring refers to non-edges: {bad[:3]}")
-    idx = {v: i for i, v in enumerate(sorted(core_set))}
-    sub_edges = {}
-    for (u, v), c in coloring.assignment.items():
-        if u not in idx or v not in idx:
-            raise PreconditionError(f"core coloring uses vertex outside the core: ({u},{v})")
-        a, b = idx[u], idx[v]
-        sub_edges[(a, b) if a < b else (b, a)] = c
-    core_graph = Graph.from_edges(len(idx), sub_edges.keys())
-    if not has_strong_property(core_graph, EdgeColoring(coloring.k, sub_edges)):
-        raise PreconditionError("core coloring lacks the strong property")
-    for v in outside:
-        if h.adj[v] == 0:
-            raise PreconditionError(f"outside vertex {v} has no neighbor in the core")
-
-    assignment = dict(coloring.assignment)
-    for e in h.edges:
-        if e not in assignment:
-            u, v = e
-            assignment[e] = 1 if (u in outside or v in outside) else 2
-    result = EdgeColoring(max(coloring.k, 2), assignment)
-    check = is_proper_connected(h, result)
-    if not check.ok:
-        raise ConstructionError(f"extension failed verification at pair {check.witness}")
-    return result
-
-
 def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _color_spanning_bipartite(h: Graph, side_a: Sequence[int], side_b: Sequence[int],
+                              branch: str) -> Construction:
+    """2-coloring of h when h spans a complete bipartite graph on side_a, side_b.
+
+    An edge a-b gets color 1 exactly when both or neither of a and b lead their
+    side (index 0); every other edge of h gets color 2.  With both sides of size
+    >= 2, each pair is joined by a path alternating between the sides, such as
+    a_i-b_j-a_0-b_0-a_k colored 1, 2, 1, 2, and a vertex joined to side_a[0] by
+    a color-2 edge goes on along side_a[0]-side_b[0], which has color 1.
+    """
+    assignment = {e: 2 for e in h.edges}
+    for i, a in enumerate(side_a):
+        for j, b in enumerate(side_b):
+            if (i == 0) == (j == 0):
+                assignment[_key(a, b)] = 1
+    return _verified(h, assignment, 2, branch)
 
 
 def color_complement_diam_ge4(g: Graph) -> Construction:
@@ -199,37 +169,12 @@ def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
     x = ana.root
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
 
-    if ana.case == CASE_ALL_ONES:
-        # g is the 4-path, so its complement is one too; alternate along it
-        ends = [v for v in range(h.n) if h.degree(v) == 1]
-        v = min(ends)
-        assignment = {}
-        prev, color = -1, 1
-        while True:
-            nxt = [w for w in _bits(h.adj[v]) if w != prev]
-            if not nxt:
-                break
-            w = nxt[0]
-            assignment[_key(v, w)] = color
-            color = 3 - color
-            prev, v = v, w
-        return _verified(h, assignment, 2, "diam3_all_ones")
-
+    if ana.case == CASE_ALL_ONES:  # g is the 4-path, so its complement is one too
+        return Construction(tree_proper_coloring(h), "diam3_all_ones", False)
     if ana.case == CASE_N2_ONE_N3_BIG:
-        # complete bipartite {x} u N1 vs N3 in the complement; strong 2-coloring
-        # by search, then attach the single middle vertex
-        core = sorted((x,) + layer1 + layer3)
-        side_a = sorted((x,) + layer1)
-        bip = Graph.from_edges(len(core),
-                               [(i, j) for i, u in enumerate(core) for j, v in enumerate(core)
-                                if i < j and ((u in side_a) != (v in side_a))])
-        found = exists_k_coloring(bip, 2, require_strong=True)
-        if found is None:  # pragma: no cover - guaranteed for 2-connected bipartite
-            raise ConstructionError("no strong 2-coloring found on the bipartite core")
-        core_assignment = {_key(core[i], core[j]): c
-                           for (i, j), c in found.assignment.items()}
-        coloring = extend_strong_coloring(h, core, EdgeColoring(2, core_assignment))
-        return Construction(coloring, "diam3_n2_one_n3_big", False)
+        # {x} u N1 against N3 spans the complement; the middle vertex's edges
+        # keep color 2 and go on from x along x-N3[0]
+        return _color_spanning_bipartite(h, (x,) + layer1, layer3, "diam3_n2_one_n3_big")
 
     if not triangle_free:
         raise PreconditionError(
@@ -352,23 +297,6 @@ def classify_pc_n_minus_2(g: Graph) -> ClassificationVerdict:
     return ClassificationVerdict(False, None, None)
 
 
-def _color_complement_multipartite(g: Graph, comps) -> Construction:
-    """Strong 2-coloring of the spanning complete multipartite subgraph of the complement."""
-    part = [0] * g.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            part[v] = i
-    multi = Graph.from_edges(
-        g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if part[u] != part[v]])
-    found = exists_k_coloring(multi, 2, require_strong=True)
-    if found is None:  # pragma: no cover - guaranteed for these shapes
-        raise ConstructionError("no strong 2-coloring found on the multipartite skeleton")
-    h = complement(g)
-    assignment = {e: 2 for e in h.edges}
-    assignment.update(found.assignment)
-    return _verified(h, assignment, 2, "multipartite")
-
-
 def auto_pc2_complement(g: Graph) -> DispatchResult:
     """Route to whichever complement coloring applies; report bounds otherwise."""
     h = complement(g)
@@ -407,4 +335,8 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
             return DispatchResult("colored", color_complement_with_trivial_component(g))
         return DispatchResult("no_construction",
                               reason="two components with triangles: no 2-coloring available")
-    return DispatchResult("colored", _color_complement_multipartite(g, comps))
+    # the largest component has >= 2 vertices (else h is complete), and so do
+    # the other vertices here: h spans the complete bipartite graph between them
+    big = max(comps, key=len)
+    rest = [v for v in range(g.n) if v not in big]
+    return DispatchResult("colored", _color_spanning_bipartite(h, big, rest, "multipartite"))

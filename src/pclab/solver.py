@@ -152,23 +152,6 @@ def tree_proper_coloring(t: Graph) -> EdgeColoring:
     return coloring
 
 
-def greedy_proper_edge_coloring(g: Graph) -> EdgeColoring:
-    """Adjacent edges get distinct colors; every path is then proper."""
-    used = [0] * g.n
-    assignment = {}
-    top = 0
-    for u, v in g.edges:
-        taken = used[u] | used[v]
-        c = 1
-        while taken >> (c - 1) & 1:
-            c += 1
-        assignment[(u, v)] = c
-        used[u] |= 1 << (c - 1)
-        used[v] |= 1 << (c - 1)
-        top = max(top, c)
-    return EdgeColoring(max(top, 1) if g.m else 0, assignment)
-
-
 #: largest order given the Hamiltonian-path bound: the search behind it may
 #: still visit every (vertex set, end) state, n * 2^n of them, on a graph
 #: without such a path

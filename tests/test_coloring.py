@@ -19,6 +19,7 @@ from pclab import (
     is_proper_path,
     parse_coloring,
 )
+from pclab import coloring as coloring_module
 from pclab.coloring import _unjoined_pair, _View
 from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
                               star_graph)
@@ -96,6 +97,21 @@ class TestFindProperPath:
         path = find_proper_path(g, coloring, 0, 4)
         assert path.vertices == (0, 2, 3, 4)
 
+    def test_unjoined_pair_rejected_by_one_search(self, monkeypatch):
+        # leaf to leaf on an all-1 star: no proper path of any length, which
+        # one full-depth search settles before the length-deepening loop
+        calls = []
+        real = coloring_module._paths
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coloring_module, "_paths", counted)
+        g = star_graph(7)
+        assert find_proper_path(g, colored(g, *[1] * g.m), 1, 2) is None
+        assert calls == [g.n - 1]
+
     def test_same_endpoints_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
@@ -112,11 +128,10 @@ class TestFindProperPath:
 class TestIsProperConnected:
     def test_proper_edge_coloring_always_passes(self):
         rng = random.Random(17)
-        from pclab import greedy_proper_edge_coloring
-
         for _ in range(15):
             g = random_connected_graph(rng.randint(2, 8), rng)
-            assert is_proper_connected(g, greedy_proper_edge_coloring(g))
+            rainbow = EdgeColoring.from_sequence(g, range(1, g.m + 1))
+            assert is_proper_connected(g, rainbow)
 
     def test_monochromatic_complete_graph(self):
         g = complete_graph(5)

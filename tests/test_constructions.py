@@ -14,10 +14,11 @@ from pclab import (
     color_complement_diam_ge4,
     color_complement_with_trivial_component,
     complement,
+    components,
     diameter,
     exact_pc,
-    extend_strong_coloring,
     generate,
+    graph6_encode,
     is_connected,
     is_proper_connected,
     structure_flags,
@@ -77,44 +78,6 @@ class TestTreeColoring:
     def test_rejects_non_tree(self):
         with pytest.raises(PreconditionError):
             tree_proper_coloring(cycle_graph(4))
-
-
-class TestExtendStrongColoring:
-    def alternating_cycle(self, n):
-        g = cycle_graph(n)
-        assignment = {}
-        for i, e in enumerate(sorted(g.edges)):
-            assignment[e] = i % 2 + 1
-        # make it actually alternating around the cycle
-        assignment = {(i, i + 1): i % 2 + 1 for i in range(n - 1)}
-        assignment[(0, n - 1)] = 2 if n % 2 == 0 else 1
-        return g, EdgeColoring(2, assignment)
-
-    def test_one_pendant_on_c4(self):
-        core, coloring = self.alternating_cycle(4)
-        h = Graph.from_edges(5, list(core.edges) + [(1, 4)])
-        out = extend_strong_coloring(h, range(4), coloring)
-        assert out.k == 2 and is_proper_connected(h, out)
-
-    def test_rejects_weak_core(self):
-        t = path_graph(4)
-        coloring = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
-        h = Graph.from_edges(5, list(t.edges) + [(0, 4)])
-        with pytest.raises(PreconditionError, match="strong"):
-            extend_strong_coloring(h, range(4), coloring)
-
-    def test_rejects_two_outside_vertices(self):
-        core, coloring = self.alternating_cycle(4)
-        h = Graph.from_edges(6, list(core.edges) + [(2, 4), (2, 5)])
-        with pytest.raises(PreconditionError, match="at most 1"):
-            extend_strong_coloring(h, range(4), coloring)
-
-    @pytest.mark.parametrize("bad", [7, -1])
-    def test_rejects_core_vertex_out_of_range(self, bad):
-        core, coloring = self.alternating_cycle(4)
-        h = Graph.from_edges(5, list(core.edges) + [(1, 4)])
-        with pytest.raises(ValueError, match=rf"core vertex {bad} outside 0\.\.4"):
-            extend_strong_coloring(h, [0, 1, 2, 3, bad], coloring)
 
 
 class TestDiamGe4:
@@ -190,13 +153,13 @@ class TestDiam3Coloring:
 
     def test_singleton_middle_without_triangle_freeness(self):
         # triangle at the near side, single middle vertex, big far side: the
-        # bipartite-core construction applies even with triangles
+        # spanning-bipartite construction applies even with triangles
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)])
         assert not structure_flags(g).triangle_free
-        ana = analyze_diam3(g)
-        if ana.case == CASE_N2_ONE_N3_BIG:
-            built = color_complement_diam3_trianglefree(g)
-            assert is_proper_connected(complement(g), built.coloring)
+        assert analyze_diam3(g).case == CASE_N2_ONE_N3_BIG
+        built = color_complement_diam3_trianglefree(g)
+        assert built.branch == "diam3_n2_one_n3_big" and built.coloring.k == 2
+        assert is_proper_connected(complement(g), built.coloring)
 
     def test_triangles_with_big_middle_rejected(self):
         # diameter 3, triangles, many-vertex layers: the construction must refuse
@@ -347,6 +310,29 @@ class TestAutoDispatcher:
         assert result.outcome == "colored"
         assert result.construction.branch == "multipartite"
         assert is_proper_connected(complement(g), result.construction.coloring)
+
+    def test_spanning_bipartite_branches_cover_every_shape(self):
+        # every class at n <= 7: the connected ones, and the disconnected ones
+        # as the complements of connected classes
+        seen = {"multipartite": 0, "diam3_n2_one_n3_big": 0}
+        for n in range(2, 8):
+            for c in enumerate_connected(n):
+                h = complement(c)
+                for g in [c] if is_connected(h) else [c, h]:
+                    sizes = sorted(map(len, components(g)))
+                    if len(sizes) == 1:
+                        if diameter(g) != 3 or analyze_diam3(g).case != CASE_N2_ONE_N3_BIG:
+                            continue
+                        branch = "diam3_n2_one_n3_big"
+                    elif complement(g).complete or sizes[:2] == [1, n - 1]:
+                        continue
+                    else:
+                        branch = "multipartite"
+                    built = auto_pc2_complement(g).construction
+                    assert built.branch == branch and built.coloring.k == 2, graph6_encode(g)
+                    assert is_proper_connected(complement(g), built.coloring)
+                    seen[branch] += 1
+        assert all(seen.values()), seen
 
     def test_complete_complement(self):
         g = Graph(4, (0, 0, 0, 0))  # empty graph: complement is K_4

@@ -12,7 +12,6 @@ from pclab import (
     exact_pc,
     exists_k_coloring,
     graph6_decode,
-    greedy_proper_edge_coloring,
     has_strong_property,
     is_proper_connected,
     pc_bounds,
@@ -165,7 +164,6 @@ class TestTraceableBound:
     def test_traceable_beats_every_bfs_tree(self):
         g = wheel(7)
         assert low_degree_spanning_tree(g).max_degree >= 3
-        assert greedy_proper_edge_coloring(g).k >= 3
         ub = pc_upper_bound(g)
         assert ub.value == 2 and ub.tag == "traceable"
         assert ub.certificate.k == 2 and is_proper_connected(g, ub.certificate)
@@ -181,17 +179,6 @@ class TestTraceableBound:
         ub = pc_upper_bound(g)
         assert ub.value == 2 and ub.tag == "spanning_tree_delta"
         assert is_proper_connected(g, ub.certificate)
-
-
-class TestGreedyEdgeColoring:
-    def test_proper_at_every_vertex(self):
-        rng = random.Random(89)
-        for _ in range(20):
-            g = random_connected_graph(rng.randint(2, 9), rng)
-            coloring = greedy_proper_edge_coloring(g)
-            for v in range(g.n):
-                incident = [coloring.color(v, w) for w in g.neighbors(v)]
-                assert len(incident) == len(set(incident))
 
 
 class TestExistsKColoring:
