@@ -255,8 +255,6 @@ def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Option
     if dist < 0:
         return None
     reach = _back_reach(view, v)
-    if next(_paths(view, u, v, reach, g.n - 1), None) is None:
-        return None  # one full-depth pass, not one per length limit
     for limit in range(dist, g.n):
         for vertices, colors in _paths(view, u, v, reach, limit):
             return view.path(vertices, colors)

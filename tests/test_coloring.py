@@ -19,7 +19,6 @@ from pclab import (
     is_proper_path,
     parse_coloring,
 )
-from pclab import coloring as coloring_module
 from pclab.coloring import _unjoined_pair, _View
 from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
                               star_graph)
@@ -96,21 +95,6 @@ class TestFindProperPath:
         coloring = EdgeColoring(2, {(0, 1): 1, (1, 4): 1, (0, 2): 1, (2, 3): 2, (3, 4): 1})
         path = find_proper_path(g, coloring, 0, 4)
         assert path.vertices == (0, 2, 3, 4)
-
-    def test_unjoined_pair_rejected_by_one_search(self, monkeypatch):
-        # leaf to leaf on an all-1 star: no proper path of any length, which
-        # one full-depth search settles before the length-deepening loop
-        calls = []
-        real = coloring_module._paths
-
-        def counted(*args, **kwargs):
-            calls.append(args[4])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(coloring_module, "_paths", counted)
-        g = star_graph(7)
-        assert find_proper_path(g, colored(g, *[1] * g.m), 1, 2) is None
-        assert calls == [g.n - 1]
 
     def test_same_endpoints_rejected(self):
         g = path_graph(3)
