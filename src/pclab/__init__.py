@@ -47,9 +47,7 @@ from .coloring import (
     ConnectivityCheck,
     EdgeColoring,
     PathCheck,
-    ProperPath,
     endpoint_color_pairs,
-    find_proper_path,
     format_coloring,
     has_strong_property,
     is_proper_connected,

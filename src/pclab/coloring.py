@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import BudgetExceededError, ColoringFormatError, PreconditionError
-from .graph import Graph, _bits, bfs_distances, is_connected
+from .graph import Graph, _bits, is_connected
 
-#: default work budget (node expansions) for exhaustive per-pair enumeration
+#: default work budget for exhaustive per-pair enumeration: vertices the path
+#: search enters, the start vertex included
 DEFAULT_PATH_BUDGET = 10**6
 
 
@@ -62,20 +63,6 @@ class EdgeColoring:
         used = sorted(set(self.assignment.values()))
         remap = {c: i + 1 for i, c in enumerate(used)}
         return EdgeColoring(len(used), {e: remap[c] for e, c in self.assignment.items()})
-
-
-@dataclass(frozen=True)
-class ProperPath:
-    vertices: tuple[int, ...]
-    colors: tuple[int, ...]
-
-    @property
-    def start_color(self) -> int:
-        return self.colors[0]
-
-    @property
-    def end_color(self) -> int:
-        return self.colors[-1]
 
 
 @dataclass(frozen=True)
@@ -133,9 +120,6 @@ class _View:
         view.orig = (0, *orig)
         return view
 
-    def path(self, vertices: list[int], ranks: list[int]) -> ProperPath:
-        return ProperPath(tuple(vertices), tuple(self.orig[c] for c in ranks))
-
 
 def is_proper_path(g: Graph, coloring: EdgeColoring, sequence: Iterable[int]) -> PathCheck:
     """Check one vertex sequence: simple path with no consecutive color repeat."""
@@ -191,10 +175,10 @@ def _back_reach(view: _View, target: int) -> list[int]:
     return reach
 
 
-def _paths(view: _View, u: int, v: int, reach: list[int], limit: int,
+def _paths(view: _View, u: int, v: int, reach: list[int],
            budget: Optional[int] = None) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield (vertices, color ranks) of each proper simple u-v path of at most
-    ``limit`` edges, in lexicographic vertex order.
+    """Yield (vertices, color ranks) of each proper simple u-v path, in
+    lexicographic vertex order.
 
     ``reach`` is ``_back_reach(view, v)``: the search enters a vertex only if a
     proper walk to v can leave it.  The yielded lists are live; copy them to
@@ -226,7 +210,7 @@ def _paths(view: _View, u: int, v: int, reach: list[int], limit: int,
                 yield path, colors
                 path.pop()
                 colors.pop()
-            elif len(path) < limit and reach[x] >> (cx - 1) & 1:
+            elif reach[x] >> (cx - 1) & 1:
                 path.append(x)
                 colors.append(cx)
                 visited |= 1 << x
@@ -247,20 +231,6 @@ def _check_endpoints(g: Graph, u: int, v: int) -> None:
         raise ValueError("endpoints must be distinct")
 
 
-def find_proper_path(g: Graph, coloring: EdgeColoring, u: int, v: int) -> Optional[ProperPath]:
-    """Shortest proper u-v path, lexicographically least among those; None if none exists."""
-    _check_endpoints(g, u, v)
-    view = _View.of(g, coloring)
-    dist = bfs_distances(g, u)[v]
-    if dist < 0:
-        return None
-    reach = _back_reach(view, v)
-    for limit in range(dist, g.n):
-        for vertices, colors in _paths(view, u, v, reach, limit):
-            return view.path(vertices, colors)
-    return None
-
-
 def _unjoined_pair(view: _View, first: Optional[tuple[int, int]] = None
                    ) -> Optional[tuple[int, int]]:
     """A vertex pair with no proper path between them, or None if there is none.
@@ -276,7 +246,7 @@ def _unjoined_pair(view: _View, first: Optional[tuple[int, int]] = None
             return True  # a single edge is always a proper path
         if v not in reach:
             reach[v] = _back_reach(view, v)
-        return next(_paths(view, u, v, reach[v], view.n - 1), None) is not None
+        return next(_paths(view, u, v, reach[v]), None) is not None
 
     if first is not None and not joined(*first):
         return first
@@ -301,7 +271,7 @@ def endpoint_color_pairs(g: Graph, coloring: EdgeColoring, u: int, v: int,
     _check_endpoints(g, u, v)
     view = _View.of(g, coloring)
     pairs = {(colors[0], colors[-1]) for _, colors in
-             _paths(view, u, v, _back_reach(view, v), g.n - 1, budget)}
+             _paths(view, u, v, _back_reach(view, v), budget)}
     orig = view.orig
     return frozenset((orig[s], orig[e]) for s, e in pairs)
 
@@ -325,7 +295,7 @@ def has_strong_property(g: Graph, coloring: EdgeColoring,
             if v not in reach:
                 reach[v] = _back_reach(view, v)
             seen: set[tuple[int, int]] = set()
-            for _, colors in _paths(view, u, v, reach[v], g.n - 1, budget):
+            for _, colors in _paths(view, u, v, reach[v], budget):
                 s, e = colors[0], colors[-1]
                 if any(s != s2 and e != e2 for s2, e2 in seen):
                     break

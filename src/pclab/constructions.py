@@ -301,11 +301,8 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
     """Route to whichever complement coloring applies; report bounds otherwise."""
     h = complement(g)
     if h.complete:
-        coloring = EdgeColoring(1 if h.m else 0, {e: 1 for e in h.edges})
-        check = is_proper_connected(h, coloring)
-        if not check.ok:  # pragma: no cover
-            raise ConstructionError("complete complement failed trivial verification")
-        return DispatchResult("colored", Construction(coloring, "complement_complete", False))
+        built = _verified(h, {e: 1 for e in h.edges}, 1 if h.m else 0, "complement_complete")
+        return DispatchResult("colored", built)
     comps = components(g)
     if len(comps) == 1:
         if g.complete:

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the package internals:
 networkx for graph structure, itertools-style exhaustive enumeration for
-colorings and paths, and a cycle-index count for enumeration totals.
+colorings and paths, a reduction to perfect matching for proper-path
+existence past the sizes enumeration affords, and a cycle-index count for
+enumeration totals.
 """
 from __future__ import annotations
 
@@ -32,6 +34,54 @@ def naive_proper_paths(g: Graph, coloring, u: int, v: int):
         if all(cs[i] != cs[i + 1] for i in range(len(cs) - 1)):
             out.append((tuple(path), tuple(cs)))
     return out
+
+
+def proper_path_oracle(g: Graph, coloring, s: int, t: int):
+    """A proper s-t path read off a perfect matching, or None if none exists.
+
+    Szeider's reduction (Finding paths in graphs avoiding forbidden
+    transitions, Discrete Appl. Math. 126, 2003): every vertex gets one copy
+    per color at it, and an edge of color c joins its endpoints' c-copies.
+    An inner vertex with d >= 2 colors gets d-2 spares joined to all its
+    copies, and its copies are joined pairwise, so a perfect matching leaves
+    it either two copies matched to each other (off the path) or two
+    differently colored copies matched along edges (entered by one color, left
+    by another).  An inner vertex with one color gets one spare, which keeps
+    it off every path.  s and t get d-1 spares and no copy-copy edges, so
+    exactly one copy of each is matched along an edge.  The matched edges then
+    form a proper s-t path plus properly colored cycles, which are dropped.
+    An edge s-t is itself a proper path and is returned without a matching.
+    """
+    if g.has_edge(s, t):
+        return s, t
+    copies = [sorted({coloring.color(v, x) for x in range(g.n) if g.has_edge(v, x)})
+              for v in range(g.n)]
+    if not copies[s] or not copies[t]:
+        return None
+    H = nx.Graph()
+    for v, cs in enumerate(copies):
+        if v in (s, t):
+            spares = len(cs) - 1
+        else:
+            spares = len(cs) - 2 if len(cs) >= 2 else len(cs)
+            H.add_edges_from(((v, a), (v, b)) for a, b in itertools.combinations(cs, 2))
+        for i in range(spares):
+            H.add_edges_from((("spare", v, i), (v, c)) for c in cs)
+    for (u, v), c in coloring.assignment.items():
+        H.add_edge((u, c), (v, c))
+    matching = nx.max_weight_matching(H, maxcardinality=True)
+    if 2 * len(matching) < H.number_of_nodes():
+        return None
+    step = {}
+    for a, b in matching:
+        if "spare" not in (a[0], b[0]) and a[0] != b[0]:  # an edge of g
+            step.setdefault(a[0], []).append(b[0])
+            step.setdefault(b[0], []).append(a[0])
+    path = [s]
+    while path[-1] != t:
+        nxt = [x for x in step[path[-1]] if len(path) < 2 or x != path[-2]]
+        path.append(nxt[0])
+    return tuple(path)
 
 
 def naive_proper_connected(g: Graph, coloring) -> bool:

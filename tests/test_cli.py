@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -236,7 +238,11 @@ class TestBudgetEnv:
 
 
 def test_installed_entry_point_smoke():
+    # the child imports the checkout's sources, not whatever pclab is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pclab.cli", "pc", "C~"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "value=1" in proc.stdout

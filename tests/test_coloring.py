@@ -12,7 +12,6 @@ from pclab import (
     Graph,
     PreconditionError,
     endpoint_color_pairs,
-    find_proper_path,
     format_coloring,
     has_strong_property,
     is_proper_connected,
@@ -23,11 +22,18 @@ from pclab.coloring import _unjoined_pair, _View
 from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
                               star_graph)
 
-from conftest import naive_proper_paths, random_connected_graph, random_tree
+from conftest import (naive_proper_paths, proper_path_oracle, random_connected_graph,
+                      random_tree)
 
 
 def colored(g, *colors):
     return EdgeColoring.from_sequence(g, colors)
+
+
+def _least_unjoined(g, joined):
+    """The least pair u < v of non-adjacent vertices that ``joined`` rejects, or None."""
+    return next(((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if not g.has_edge(u, v) and not joined(u, v)), None)
 
 
 class TestIsProperPath:
@@ -61,47 +67,48 @@ class TestIsProperPath:
 
 
 class TestFindProperPath:
+    """Path existence between two given vertices, asked of the package's
+    pair check and endpoint-color enumeration, with the matching oracle's
+    path as the second opinion."""
+
     def test_adjacent_pair_takes_the_edge(self):
+        # in a monochromatic K4 every longer path clashes: only the edge is proper
         g = complete_graph(4)
         coloring = EdgeColoring.from_sequence(g, [1] * 6)
-        path = find_proper_path(g, coloring, 1, 3)
-        assert path.vertices == (1, 3) and path.colors == (1,)
+        assert endpoint_color_pairs(g, coloring, 1, 3) == {(1, 1)}
+        assert proper_path_oracle(g, coloring, 1, 3) == (1, 3)
 
     def test_blocked_path_returns_none(self):
         g = path_graph(4)
-        assert find_proper_path(g, colored(g, 1, 1, 2), 0, 3) is None
+        coloring = colored(g, 1, 1, 2)
+        assert _unjoined_pair(_View.of(g, coloring), (0, 3)) == (0, 3)
+        assert proper_path_oracle(g, coloring, 0, 3) is None
 
     def test_five_cycle_all_pairs(self):
         g = cycle_graph(5)
         # colors 1,2,1,2,3 walking around the cycle
         coloring = EdgeColoring(3, {(0, 1): 1, (1, 2): 2, (2, 3): 1,
                                     (3, 4): 2, (0, 4): 3})
+        assert is_proper_connected(g, coloring)
         for u in range(5):
             for v in range(u + 1, 5):
-                got = find_proper_path(g, coloring, u, v)
-                assert got is not None
-                assert naive_proper_paths(g, coloring, u, v)
-
-    def test_shortest_then_lexicographic(self):
-        # two proper 2-edge paths from 0 to 3: via 1 and via 2
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        coloring = colored(g, 1, 1, 2, 2)
-        path = find_proper_path(g, coloring, 0, 3)
-        assert path.vertices == (0, 1, 3)
+                assert is_proper_path(g, coloring, proper_path_oracle(g, coloring, u, v))
 
     def test_longer_path_beats_no_path(self):
-        # direct 2-edge route clashes; the 3-edge route is proper
+        # 0 and 4 are at distance 2, but the direct route 0-1-4 clashes and only
+        # the 3-edge route 0-2-3-4 is proper: the least unjoined pair is (1,2),
+        # not (0,4)
         g = Graph.from_edges(5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
         coloring = EdgeColoring(2, {(0, 1): 1, (1, 4): 1, (0, 2): 1, (2, 3): 2, (3, 4): 1})
-        path = find_proper_path(g, coloring, 0, 4)
-        assert path.vertices == (0, 2, 3, 4)
+        assert is_proper_connected(g, coloring).witness == (1, 2)
+        assert proper_path_oracle(g, coloring, 0, 4) == (0, 2, 3, 4)
 
     def test_same_endpoints_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            find_proper_path(g, colored(g, 1, 2), 1, 1)
+            endpoint_color_pairs(g, colored(g, 1, 2), 1, 1)
 
-    @pytest.mark.parametrize("search", [find_proper_path, endpoint_color_pairs])
+    @pytest.mark.parametrize("search", [endpoint_color_pairs])
     @pytest.mark.parametrize("u,v", [(2, -3), (0, -1), (0, 5), (-1, 2)])
     def test_out_of_range_endpoints_rejected(self, search, u, v):
         g = path_graph(3)
@@ -148,11 +155,6 @@ class TestDeclaredColorCount:
         assert is_proper_connected(g, coloring) == is_proper_connected(g, small)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                path, ref = find_proper_path(g, coloring, u, v), find_proper_path(g, small, u, v)
-                assert (path is None) == (ref is None)
-                if ref is not None:
-                    assert path.vertices == ref.vertices
-                    assert path.colors == tuple(back[c] for c in ref.colors)
                 pairs = endpoint_color_pairs(g, coloring, u, v)
                 assert pairs == {(back[a], back[b]) for a, b in endpoint_color_pairs(g, small, u, v)}
         assert has_strong_property(g, coloring) == has_strong_property(g, small)
@@ -239,19 +241,21 @@ class TestStrongProperty:
 
 class TestOracleEquivalence:
     def test_random_colorings_match_naive_enumeration(self):
+        # also the matching oracle's self-test: it finds a path, and a proper
+        # one, exactly when networkx enumeration does
         rng = random.Random(53)
-        for _ in range(120):
-            g = random_connected_graph(rng.randint(2, 6), rng)
+        for _ in range(150):
+            g = random_connected_graph(rng.randint(2, 8), rng)
             k = rng.randint(1, 4)
             coloring = EdgeColoring.from_sequence(
                 g, [rng.randint(1, k) for _ in range(g.m)], k)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     want = naive_proper_paths(g, coloring, u, v)
-                    got = find_proper_path(g, coloring, u, v)
+                    got = proper_path_oracle(g, coloring, u, v)
                     assert (got is not None) == bool(want)
                     if got is not None:
-                        assert is_proper_path(g, coloring, got.vertices)
+                        assert is_proper_path(g, coloring, got)
                     assert endpoint_color_pairs(g, coloring, u, v) == \
                         {(cs[0], cs[-1]) for _, cs in want}
 
@@ -272,12 +276,7 @@ class TestOracleEquivalence:
             for u in range(n):
                 for v in range(u + 1, n):
                     want = naive_proper_paths(g, coloring, u, v)
-                    got = find_proper_path(g, coloring, u, v)
-                    if want:
-                        vertices, colors = min(want, key=lambda p: (len(p[0]), p[0]))
-                        assert (got.vertices, got.colors) == (vertices, colors)
-                    else:
-                        assert got is None
+                    if not want:
                         failing.append((u, v))
                     ends = {(cs[0], cs[-1]) for _, cs in want}
                     assert endpoint_color_pairs(g, coloring, u, v) == ends
@@ -303,10 +302,49 @@ class TestOracleEquivalence:
             check = is_proper_connected(g, coloring)
             pair = _unjoined_pair(_View.of(g, coloring), first)
             assert (pair is None) == check.ok, g
-            first_fails = find_proper_path(g, coloring, *first) is None
+            first_fails = proper_path_oracle(g, coloring, *first) is None
             assert pair == (first if first_fails else check.witness), g
             verdicts.add((check.ok, first_fails))
         assert verdicts == {(True, False), (False, False), (False, True)}
+
+    def test_checker_matches_matching_oracle_to_fourteen_vertices(self):
+        # past the sizes networkx enumeration can afford: verdict and least
+        # failing pair against the matching oracle.  Trees with a few extra
+        # edges often join a pair by a proper walk that must revisit a vertex
+        # but by no proper path, which only the colors along the path tell apart
+        rng = random.Random(83)
+        verdicts = set()
+        for n in range(10, 15):
+            for _ in range(3):
+                tree = random_tree(n, rng)
+                extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if not tree.has_edge(u, v) and rng.random() < 0.1]
+                g = Graph.from_edges(n, list(tree.edges) + extra)
+                for k in (2, 2, 3):
+                    coloring = EdgeColoring.from_sequence(
+                        g, [rng.randint(1, k) for _ in range(g.m)], k)
+                    check = is_proper_connected(g, coloring)
+                    assert check.witness == _least_unjoined(
+                        g, lambda u, v: proper_path_oracle(g, coloring, u, v)), g
+                    verdicts.add(check.ok)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_colorings_match_both_oracles(self, data):
+        n = data.draw(st.integers(2, 9))
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        edges |= data.draw(st.sets(st.sampled_from(
+            [(u, v) for u in range(n) for v in range(u + 1, n)]), max_size=n))
+        g = Graph.from_edges(n, sorted(edges))
+        k = data.draw(st.integers(1, 3))
+        coloring = EdgeColoring.from_sequence(
+            g, data.draw(st.lists(st.integers(1, k), min_size=g.m, max_size=g.m)), k)
+        witness = is_proper_connected(g, coloring).witness
+        assert witness == _least_unjoined(
+            g, lambda u, v: proper_path_oracle(g, coloring, u, v))
+        assert witness == _least_unjoined(
+            g, lambda u, v: naive_proper_paths(g, coloring, u, v))
 
     def test_color_permutation_equivariance(self):
         rng = random.Random(61)
