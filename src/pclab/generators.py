@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UnsupportedSizeError
-from .graph import Graph, _bits, _min_placement, canonical_graph
+from .graph import Graph, _bits, _is_cut_vertex, _min_placement, canonical_graph
 
 FAMILY_TAGS = (
     "path",
@@ -162,15 +162,7 @@ def _outranked(adj: list[int], v: int) -> bool:
             mine = mine or sorted(deg[u] for u in _bits(adj[v]))
             if sorted(deg[u] for u in _bits(adj[w])) <= mine:
                 continue
-        rest = ((1 << v + 1) - 1) ^ (1 << w)
-        seen = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for u in _bits(frontier):
-                reach |= adj[u]
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if seen == rest:
+        if not _is_cut_vertex(adj, w):
             return True
     return False
 

@@ -3,6 +3,11 @@
 Vertices are dense integers 0..n-1.  Adjacency is stored as one int bitmask
 per vertex, which keeps BFS, complement and canonical labeling cheap at the
 small sizes this package targets.
+
+One BFS layer walk, ``_layers``, answers every traversal question: distances
+(and through them the far-root view and the diameter), connectivity,
+components, bipartition, and the bridge and cut-vertex tests behind
+``bridge_profile``, ``structure_flags`` and the enumerator's prefilter.
 """
 from __future__ import annotations
 
@@ -153,27 +158,46 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int
     return Graph(len(verts), tuple(masks)), idx
 
 
+def _layers(adj: Sequence[int], seen: int, frontier: int) -> Iterator[int]:
+    """BFS layers from ``frontier`` as bitmasks, frontier first, never entering ``seen``.
+
+    The layers are disjoint, so their sum is the set of vertices reached.
+    """
+    seen |= frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
+    """Whether v is a cut vertex: not all the rest is reachable from one of its
+    vertices without entering v."""
+    rest = ((1 << len(adj)) - 1) ^ (1 << v)
+    return sum(_layers(adj, 1 << v, rest & -rest)) != rest
+
+
+def _is_bridge(adj: Sequence[int], u: int, v: int) -> bool:
+    """Whether edge u–v is a bridge: u and v have no common neighbor, and v is
+    out of reach of u once the edge is gone."""
+    return not adj[u] & adj[v] and not any(
+        layer >> v & 1 for layer in _layers(adj, 1 << u, adj[u] ^ (1 << v)))
+
+
 def bfs_distances(g: Graph, root: int) -> tuple[int, ...]:
     """Distances from root; -1 marks unreachable vertices."""
     dist = [-1] * g.n
-    dist[root] = 0
-    seen = 1 << root
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for v in _bits(frontier):
+    for d, layer in enumerate(_layers(g.adj, 0, 1 << root)):
+        for v in _bits(layer):
             dist[v] = d
     return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
-    return -1 not in bfs_distances(g, 0)
+    return sum(_layers(g.adj, 0, 1)) == (1 << g.n) - 1
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -182,11 +206,11 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
     A component is the set of vertices one BFS from its least vertex reaches.
     """
     out = []
-    left = set(range(g.n))
+    left = (1 << g.n) - 1
     while left:
-        comp = tuple(v for v, d in enumerate(bfs_distances(g, min(left))) if d >= 0)
-        out.append(comp)
-        left.difference_update(comp)
+        comp = sum(_layers(g.adj, 0, left & -left))
+        out.append(tuple(_bits(comp)))
+        left ^= comp
     return tuple(out)
 
 
@@ -210,86 +234,38 @@ def layered_view(g: Graph) -> LayeredView:
     )
 
 
-def _dfs_low(g: Graph):
-    """Single DFS pass: returns (bridges, articulation_points)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: list[tuple[int, int]] = []
-    artic: set[int] = set()
-    counter = 0
-
-    def explore(root: int) -> None:
-        nonlocal counter
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(g.adj[root]))]
-        disc[root] = low[root] = counter = counter + 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    counter += 1
-                    disc[w] = low[w] = counter
-                    stack.append((w, v, _bits(g.adj[w])))
-                    if v == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.append((min(parent, v), max(parent, v)))
-                    if parent != root and low[v] >= disc[parent]:
-                        artic.add(parent)
-        if root_children >= 2:
-            artic.add(root)
-
-    for v in range(g.n):
-        if disc[v] == -1:
-            explore(v)
-    return sorted(bridges), artic
-
-
 def bridge_profile(g: Graph) -> BridgeProfile:
+    """Bridges of a connected graph, sorted, and the most bridges at one vertex.
+
+    An edge u–v in a triangle is never a bridge; any other edge is one exactly
+    when v is out of reach of u once that edge is gone.
+    """
     if not is_connected(g):
         raise PreconditionError("bridge profile requires a connected graph")
-    bridges, _ = _dfs_low(g)
+    bridges = tuple((u, v) for u, v in g.edges if _is_bridge(g.adj, u, v))
     incident = [0] * g.n
     for u, v in bridges:
         incident[u] += 1
         incident[v] += 1
-    return BridgeProfile(tuple(bridges), max(incident, default=0) if g.n else 0)
+    return BridgeProfile(bridges, max(incident))
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist."""
-    dist = _parity_distances(g, bfs_distances(g, 0))
-    if dist is None:
-        return None
-    sides: tuple[list[int], list[int]] = ([], [])
-    for v, d in enumerate(dist):
-        sides[d & 1].append(v)
-    return tuple(sides[0]), tuple(sides[1])
+    """A 2-coloring of the vertices as (side0, side1), or None if odd cycles exist.
 
-
-def _parity_distances(g: Graph, dist0: Sequence[int]) -> list[int] | None:
-    """Distance to the least vertex of each component; None on an odd cycle.
-
-    ``dist0`` is ``bfs_distances(g, 0)``; one BFS runs per further component.
+    Each component is walked in BFS layers from its least vertex, which stays
+    on side 0, and the layers alternate sides; an edge inside one layer closes
+    an odd cycle.
     """
-    dist = list(dist0)
-    while -1 in dist:
-        for v, d in enumerate(bfs_distances(g, dist.index(-1))):
-            if d >= 0:
-                dist[v] = d
-    for u, v in g.edges:
-        if (dist[u] ^ dist[v]) & 1 == 0:
-            return None
-    return dist
+    sides = [0, 0]
+    left = (1 << g.n) - 1
+    while left:
+        for d, layer in enumerate(_layers(g.adj, 0, left & -left)):
+            if any(g.adj[v] & layer for v in _bits(layer)):
+                return None
+            sides[d & 1] |= layer
+            left ^= layer
+    return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
 
 
 def structure_flags(g: Graph) -> StructureFlags:
@@ -298,17 +274,13 @@ def structure_flags(g: Graph) -> StructureFlags:
     A caller that needs one flag reads it directly: ``Graph.complete``,
     ``Graph.triangle_free`` or ``is_connected``.
     """
-    dist0 = bfs_distances(g, 0)
-    connected = -1 not in dist0
-    if g.n >= 3 and connected:
-        _, artic = _dfs_low(g)
-        two_connected = not artic
-    else:
-        two_connected = False
+    connected = is_connected(g)
+    two_connected = g.n >= 3 and connected and not any(
+        _is_cut_vertex(g.adj, v) for v in range(g.n))
     return StructureFlags(
         connected=connected,
         complete=g.complete,
-        bipartite=_parity_distances(g, dist0) is not None,
+        bipartite=bipartition(g) is not None,
         triangle_free=g.triangle_free,
         two_connected=two_connected,
     )

@@ -18,8 +18,8 @@ from pclab import (
     run_ng_census,
     run_pc_census,
 )
-from pclab.generators import double_star, enumerate_connected
-from pclab.graph import components
+from pclab.generators import cycle_graph, double_star, enumerate_connected, path_graph
+from pclab.graph import bridge_profile, components, structure_flags
 
 
 class TestPcCensus:
@@ -138,14 +138,21 @@ class TestSweeps:
     @pytest.mark.parametrize("check", ["thm31", "thm33", "thm36", "prop37"])
     def test_hypotheses_need_no_articulation_points(self, check, monkeypatch):
         # diameter, triangle-freeness, completeness and complement connectivity
-        # are all a construction sweep reads; thm38 is left out because exact_pc
-        # takes the bridge profile of every graph it solves
+        # are all a construction sweep reads: it asks for no bridge and no cut
+        # vertex.  thm38 is left out because exact_pc takes the bridge profile
+        # of every graph it solves.  The enumerator's non-cut prefilter calls
+        # generators' own binding of _is_cut_vertex, which the patch leaves alone.
         calls = []
-        dfs_low = pclab.graph._dfs_low
-        monkeypatch.setattr(pclab.graph, "_dfs_low",
-                            lambda g: calls.append(g) or dfs_low(g))
+        for name in ("_is_bridge", "_is_cut_vertex"):
+            test = getattr(pclab.graph, name)
+            monkeypatch.setattr(pclab.graph, name,
+                                lambda *args, test=test: calls.append(args) or test(*args))
         assert run_construction_sweep(6, check).passed
         assert calls == []
+        # the patch does see both deletion questions when they are asked
+        structure_flags(cycle_graph(4))
+        bridge_profile(path_graph(3))
+        assert len(calls) == 4 + 2
 
     @pytest.mark.parametrize("check,construction", [
         ("thm31", "color_complement_diam_ge4"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -31,7 +32,7 @@ from pclab.generators import (
 )
 from pclab.graph import bipartition
 
-from conftest import random_connected_graph, to_nx
+from conftest import random_connected_graph, random_tree, to_nx
 
 
 def graphs(max_n=8):
@@ -159,11 +160,23 @@ class TestBridges:
         assert len(profile.bridges) == 1 and profile.b == 1
 
     def test_against_networkx(self):
+        # random graphs, every connected class at n <= 7, and sparse graphs up
+        # to graph6's largest order: a tree plus a few chords, where the detour
+        # around a non-bridge is long
         rng = random.Random(23)
-        for _ in range(40):
-            g = random_connected_graph(rng.randint(3, 9), rng)
-            assert set(bridge_profile(g).bridges) == \
-                {(min(u, v), max(u, v)) for u, v in nx.bridges(to_nx(g))}
+        inputs = [random_connected_graph(rng.randint(3, 9), rng) for _ in range(40)]
+        inputs += [g for n in range(1, 8) for g in enumerate_connected(n)]
+        for n in range(20, 63):
+            chords = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 4))}
+            inputs.append(Graph.from_edges(n, sorted(set(random_tree(n, rng).edges) | chords)))
+        for g in inputs:
+            G = to_nx(g)
+            bridges = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(G))
+            profile = bridge_profile(g)
+            assert profile.bridges == tuple(bridges)
+            assert profile.b == max(Counter(v for e in bridges for v in e).values(), default=0)
+            assert structure_flags(g).two_connected == (g.n >= 3 and nx.is_biconnected(G))
+            assert (bipartition(g) is None) == (not nx.is_bipartite(G))
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):

@@ -3,8 +3,8 @@
 A function-level import usually hides an import cycle; keeping them out means
 a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
-outlive the code that used them, and private module-level names that outlive
-their last caller.
+outlive the code that used them, private module-level names that outlive
+their last caller, and a second BFS frontier loop beside ``graph._layers``.
 """
 import ast
 from collections import Counter
@@ -102,3 +102,19 @@ def unreferenced_private_names():
 
 def test_every_private_name_is_used():
     assert unreferenced_private_names() == []
+
+
+def frontier_loops():
+    """The module of each ``while frontier:`` loop in the package."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [path.stem for node in ast.walk(tree)
+                  if isinstance(node, ast.While) and isinstance(node.test, ast.Name)
+                  and node.test.id == "frontier"]
+    return found
+
+
+def test_one_bfs_frontier_loop():
+    # graph._layers is the one BFS; a second loop is a second implementation
+    assert frontier_loops() == ["graph"]
