@@ -100,7 +100,6 @@ class LayeredView:
     """
 
     root: int
-    dist: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
     diameter: int
 
@@ -182,9 +181,15 @@ def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
 
 def _is_bridge(adj: Sequence[int], u: int, v: int) -> bool:
     """Whether edge u–v is a bridge: u and v have no common neighbor, and v is
-    out of reach of u once the edge is gone."""
-    return not adj[u] & adj[v] and not any(
-        layer >> v & 1 for layer in _layers(adj, 1 << u, adj[u] ^ (1 << v)))
+    out of reach of u once the edge is gone.
+
+    The walk starts at the endpoint of lower degree, so a pendant edge needs none.
+    """
+    if adj[u] & adj[v]:
+        return False
+    if adj[u].bit_count() > adj[v].bit_count():
+        u, v = v, u
+    return not any(layer >> v & 1 for layer in _layers(adj, 1 << u, adj[u] ^ (1 << v)))
 
 
 def bfs_distances(g: Graph, root: int) -> tuple[int, ...]:
@@ -228,7 +233,6 @@ def layered_view(g: Graph) -> LayeredView:
         buckets[min(d, 4)].append(v)
     return LayeredView(
         root=dist.index(0),
-        dist=dist,
         layers=tuple(tuple(b) for b in buckets),
         diameter=max(dist),
     )
@@ -287,88 +291,71 @@ def structure_flags(g: Graph) -> StructureFlags:
 
 
 def _twin_classes(n: int, adj: Sequence[int]) -> list[int]:
-    """Union-find roots for vertices interchangeable by a transposition."""
-    parent = list(range(n))
+    """The least vertex of each vertex's twin class.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                same = adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
-            else:
-                same = adj[u] == adj[v]
-            if same:
-                parent[find(u)] = find(v)
-    return [find(v) for v in range(n)]
+    A transposition (u v) is an automorphism exactly when N(u) = N(v) (u and v
+    not adjacent) or N[u] = N[v] (adjacent). Each relation is an equivalence,
+    and no vertex has twins of both kinds: if N[u] = N[v] and N(u) = N(w), then
+    v is in N(w), so w is in N[v] = N[u] and u is in N(w) = N(u), which is
+    absurd. Nor does an open neighborhood equal a closed one: N(u) = N[w] puts
+    w in N(u) and so u in N[w] = N(u). So one dict keyed by both neighborhoods
+    meets each class's least vertex first.
+    """
+    first: dict[int, int] = {}
+    return [min(first.setdefault(adj[u], u), first.setdefault(adj[u] | 1 << u, u))
+            for u in range(n)]
 
 
 def _min_placement(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex placement minimizing the upper-triangle column string.
+    """The least column string over all placements, and the least placement realizing it.
 
-    Returns (cols, placement) where cols[k] packs the adjacency bits between
-    placement[k] and placement[0..k-1] (earlier positions in higher bits).
-    Exact over all permutations; pruned by forcing each column to its minimum
-    and by skipping twin vertices.
+    cols[k] packs the adjacency bits between placement[k] and
+    placement[0..k-1], earlier positions in higher bits; strings and
+    placements compare lexicographically. That order is greedy by position:
+    column k of the least string is the least next column over the
+    placements whose first k columns are least. So the placements are grown
+    one column at a time, keeping every tied prefix with each vertex's next
+    column (a placed vertex holds a value above any column). Each step fixes
+    the least next column over all tied prefixes and extends each prefix by
+    every vertex that reaches it, in vertex order, but only by the least
+    vertex of its twin class: swapping two unplaced twins keeps the string
+    and moves the lesser one forward. The prefixes thus stay in placement
+    order, and the first one left after n steps is the least placement.
     """
     if n == 1:
         return (), (0,)
     twin = _twin_classes(n, adj)
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-
-    def rec(placed: list[int], unplaced: list[int], cols: list[int],
-            colvals: list[int], tied: bool) -> None:
-        nonlocal best_cols, best_perm
-        if not unplaced:
-            if best_cols is None or cols < best_cols:
-                best_cols = list(cols)
-                best_perm = list(placed)
-            return
-        k = len(placed)
-        mincol = min(colvals[u] for u in unplaced)
-        if tied:
-            if mincol > best_cols[k]:
-                return
-            child_tied = mincol == best_cols[k]
-        else:
-            child_tied = False
-        cols.append(mincol)
-        seen_classes = set()
-        for u in unplaced:
-            if colvals[u] != mincol or twin[u] in seen_classes:
-                continue
-            seen_classes.add(twin[u])
-            rest = [w for w in unplaced if w != u]
-            saved = [colvals[w] for w in rest]
-            for w in rest:
-                colvals[w] = colvals[w] << 1 | (adj[w] >> u & 1)
-            placed.append(u)
-            rec(placed, rest, cols, colvals, child_tied)
-            placed.pop()
-            for w, s in zip(rest, saved):
-                colvals[w] = s
-            # once this prefix owns the incumbent, siblings compare as ties
-            child_tied = True
-        cols.pop()
-
-    rec([], list(range(n)), [], [0] * n, False)
-    assert best_cols is not None and best_perm is not None
-    return tuple(best_cols), tuple(best_perm)
+    placed = 1 << n
+    tied = [((), [0] * n)]
+    cols = []
+    for _ in range(n):
+        col = min(min(colvals) for _, colvals in tied)
+        grown = []
+        for prefix, colvals in tied:
+            classes = set()
+            for u, c in enumerate(colvals):
+                if c == col and twin[u] not in classes:
+                    classes.add(twin[u])
+                    nxt = [d << 1 | (a >> u & 1) for d, a in zip(colvals, adj)]
+                    nxt[u] = placed
+                    grown.append((prefix + (u,), nxt))
+        cols.append(col)
+        tied = grown
+    return tuple(cols), tied[0][0]
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical code plus the placement realizing it.
 
-    The code is the column tuple of ``_min_placement``: it lists the
-    canonically labeled graph's upper-triangle adjacency bits column by
-    column, so it fixes that graph (and its graph6 text) one-to-one, and two
-    graphs get identical codes exactly when they are isomorphic.
-    ``placement[i]`` is the original vertex at canonical position i.
+    The code is the least column string over all placements of g's vertices
+    (see ``_min_placement``), and the placement is the lexicographically
+    least one realizing it; the string is fixed one column at a time, which
+    is exact because lexicographic order is greedy by position. The code
+    lists the canonically labeled graph's upper-triangle adjacency bits
+    column by column, so it fixes that graph (and its graph6 text)
+    one-to-one, and two graphs get identical codes exactly when they are
+    isomorphic. ``placement[i]`` is the original vertex at canonical
+    position i.
     """
     if g.n > MAX_CANONICAL_N:
         raise UnsupportedSizeError(

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -30,7 +31,7 @@ from pclab.generators import (
     star_graph,
     star_plus_edge,
 )
-from pclab.graph import bipartition
+from pclab.graph import _min_placement, _twin_classes, bipartition
 
 from conftest import random_connected_graph, random_tree, to_nx
 
@@ -255,6 +256,32 @@ class TestCanonical:
 
     def test_c4_differs_from_star(self):
         assert canonical_code(cycle_graph(4)) != canonical_code(star_graph(4))
+
+    def test_labeling_against_brute_force(self):
+        """The code is the least column string over all placements and the
+        placement the least one realizing it; twin classes are exactly the
+        vertices one transposition swaps."""
+        def cols(adj, p):
+            return tuple(sum((adj[p[k]] >> p[j] & 1) << (k - 1 - j) for j in range(k))
+                         for k in range(len(p)))
+
+        rng = random.Random(14)
+        corpus = [(n, bits) for n in range(2, 6) for bits in range(1 << n * (n - 1) // 2)]
+        for n, count in ((6, 60), (7, 15)):
+            for _ in range(count):
+                density = rng.random()
+                corpus.append((n, sum((rng.random() < density) << i
+                                      for i in range(n * (n - 1) // 2))))
+        assert _min_placement(1, (0,)) == ((), (0,))
+        for n, bits in corpus:
+            adj = Graph.from_edges(n, [e for i, e in enumerate(combinations(range(n), 2))
+                                       if bits >> i & 1]).adj
+            assert _min_placement(n, adj) == min(
+                (cols(adj, p), p) for p in permutations(range(n)))
+            twin = _twin_classes(n, adj)
+            for u, v in combinations(range(n), 2):
+                assert (twin[u] == twin[v]) == \
+                    (adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
 
     def test_relabeling_invariance_across_census(self):
         rng = random.Random(5)
