@@ -317,9 +317,9 @@ def _min_placement(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[i
     one column at a time, keeping every tied prefix with each vertex's next
     column (a placed vertex holds a value above any column). Each step fixes
     the least next column over all tied prefixes and extends each prefix by
-    every vertex that reaches it, in vertex order, but only by the least
-    vertex of its twin class: swapping two unplaced twins keeps the string
-    and moves the lesser one forward. The prefixes thus stay in placement
+    every vertex that reaches it, in vertex order, but only by the first of
+    each twin class: swapping two unplaced twins keeps the string and moves
+    the lesser one forward. The prefixes thus stay in placement
     order, and the first one left after n steps is the least placement.
     """
     if n == 1:
