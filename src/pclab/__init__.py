@@ -47,6 +47,7 @@ from .coloring import (
     ConnectivityCheck,
     EdgeColoring,
     PathCheck,
+    check_tree_witness,
     endpoint_color_pairs,
     format_coloring,
     has_strong_property,
@@ -65,7 +66,6 @@ from .solver import (
     pc_bounds,
     pc_lower_bound,
     pc_upper_bound,
-    tree_proper_coloring,
 )
 from .constructions import (
     ClassificationVerdict,

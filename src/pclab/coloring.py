@@ -265,6 +265,22 @@ def is_proper_connected(g: Graph, coloring: EdgeColoring) -> ConnectivityCheck:
     return ConnectivityCheck(pair is None, pair)
 
 
+def check_tree_witness(g: Graph, coloring: EdgeColoring, tree: Graph) -> bool:
+    """Is ``tree`` a spanning tree of g with distinct colors on its edges at
+    each vertex, and does ``coloring`` color exactly the edges of g?  Then
+    every pair is joined by its tree path, which is proper.
+    """
+    if tree.n != g.n or tree.m != g.n - 1 or not is_connected(tree):
+        return False
+    if any(t & ~a for t, a in zip(tree.adj, g.adj)):
+        return False  # a tree edge outside g
+    color = coloring.assignment
+    if len(color) != g.m or not all(e in color for e in g.edges):
+        return False
+    return all(len({coloring.color(v, w) for w in tree.neighbors(v)}) == tree.degree(v)
+               for v in range(g.n))
+
+
 def endpoint_color_pairs(g: Graph, coloring: EdgeColoring, u: int, v: int,
                          budget: int = DEFAULT_PATH_BUDGET) -> frozenset[tuple[int, int]]:
     """Exact set of (start, end) colors over all proper u-v paths."""

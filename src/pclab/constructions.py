@@ -24,7 +24,7 @@ from .graph import (
     is_connected,
     layered_view,
 )
-from .solver import exists_k_coloring, tree_proper_coloring
+from .solver import exists_k_coloring, pc_upper_bound
 
 CASE_ALL_ONES = "all_ones"
 CASE_N2_ONE_N3_BIG = "n2_one_n3_big"
@@ -170,7 +170,7 @@ def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
 
     if ana.case == CASE_ALL_ONES:  # g is the 4-path, so its complement is one too
-        return Construction(tree_proper_coloring(h), "diam3_all_ones", False)
+        return Construction(pc_upper_bound(h).certificate, "diam3_all_ones", False)
     if ana.case == CASE_N2_ONE_N3_BIG:
         # {x} u N1 against N3 spans the complement; the middle vertex's edges
         # keep color 2 and go on from x along x-N3[0]

@@ -4,25 +4,26 @@ The upper bound is pc(G) <= pc(T) = max degree of T for a spanning tree T
 (Borozan et al., Discrete Math. 312, 2012).  T is a Hamiltonian path where one
 exists, found for n <= 12 by a depth-first search that first rejects graphs
 with more than two vertices of degree 1; otherwise the BFS tree of least
-maximum degree.  Each k below it is decided by one pass over the canonical
-color assignments (color j+1 first appears after color j; bridges at a shared
-vertex differ), each edge trying its colors in a seeded random order.  Each
-leaf is checked on the color matrix the pass keeps up to date, and the public
-checker verifies every certificate returned.  A refutation visits every
-canonical assignment; a budget cutoff is reported as "unknown", never
-silently coerced into an answer.
+maximum degree.  ``check_tree_witness`` checks its certificate as a tree.
+Each k below it is decided by one pass over the canonical color assignments
+(color j+1 first appears after color j; bridges at a shared vertex differ),
+each edge trying its colors in a seeded random order.  Each leaf is checked on
+the color matrix the pass keeps up to date, and the public checker verifies
+every certificate the search returns.  A refutation visits every canonical
+assignment; a budget cutoff is reported as "unknown", never silently coerced
+into an answer.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .coloring import (EdgeColoring, _unjoined_pair, _View, has_strong_property,
-                       is_proper_connected)
-from .errors import BudgetExceededError, ConstructionError, PreconditionError
-from .graph import Graph, _bits, bfs_distances, bridge_profile, is_connected
+from .coloring import (EdgeColoring, _unjoined_pair, _View, check_tree_witness,
+                       has_strong_property, is_proper_connected)
+from .errors import BudgetExceededError, PreconditionError
+from .graph import Graph, _bits, _layers, bridge_profile, is_connected
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class UpperBound:
     value: int
     tag: str  # traceable | spanning_tree_delta | star_exact
     certificate: EdgeColoring
+    tree: Graph  # the spanning tree of g the certificate colors properly
 
 
 @dataclass(frozen=True)
@@ -97,29 +99,20 @@ def pc_lower_bound(g: Graph) -> LowerBound:
     return LowerBound(max(2, b), "bridges" if b >= 3 else "noncomplete")
 
 
-def _bfs_tree_masks(g: Graph, root: int) -> list[int]:
-    dist = bfs_distances(g, root)
-    masks = [0] * g.n
-    for v in range(g.n):
-        if v == root:
-            continue
-        # parent = least neighbor one layer closer
-        for w in _bits(g.adj[v]):
-            if dist[w] == dist[v] - 1:
-                masks[v] |= 1 << w
-                masks[w] |= 1 << v
-                break
-    return masks
+def _bfs_tree(g: Graph, root: int) -> Graph:
+    """The BFS tree from root: each vertex hangs from its least neighbor in the layer before."""
+    edges, above = [], 0
+    for layer in _layers(g.adj, 0, 1 << root):
+        for v in _bits(layer):
+            up = g.adj[v] & above  # empty only at the root
+            if up:
+                edges.append((v, (up & -up).bit_length() - 1))
+        above = layer
+    return Graph.from_edges(g.n, edges)
 
 
-def low_degree_spanning_tree(g: Graph) -> Graph:
-    """The BFS tree of least maximum degree over all roots (least root on ties)."""
-    trees = (_bfs_tree_masks(g, root) for root in range(g.n))
-    return Graph(g.n, tuple(min(trees, key=lambda t: max(a.bit_count() for a in t))))
-
-
-def _tree_coloring(tree: Sequence[int], root: int) -> dict[tuple[int, int], int]:
-    """Root-down greedy coloring of a tree given by its neighbor masks.
+def _tree_coloring(tree: Graph, root: int) -> dict[tuple[int, int], int]:
+    """Root-down greedy coloring of a tree.
 
     Each vertex's child edges take the least colors that avoid its parent edge
     color, so adjacent edges differ, every tree path is proper, and exactly
@@ -130,7 +123,7 @@ def _tree_coloring(tree: Sequence[int], root: int) -> dict[tuple[int, int], int]
     while stack:
         v, parent, pcolor = stack.pop()
         c = 0
-        for w in _bits(tree[v]):
+        for w in tree.neighbors(v):
             if w == parent:
                 continue
             c += 1
@@ -139,17 +132,6 @@ def _tree_coloring(tree: Sequence[int], root: int) -> dict[tuple[int, int], int]
             assignment[(v, w) if v < w else (w, v)] = c
             stack.append((w, v, c))
     return assignment
-
-
-def tree_proper_coloring(t: Graph) -> EdgeColoring:
-    """Proper edge coloring of a tree with exactly max-degree colors, rooted at 0."""
-    if t.n < 2 or t.m != t.n - 1 or not is_connected(t):
-        raise PreconditionError("input must be a tree on >= 2 vertices")
-    coloring = EdgeColoring(t.max_degree, _tree_coloring(t.adj, 0))
-    check = is_proper_connected(t, coloring)
-    if not check.ok:  # pragma: no cover - proper edge colorings always pass
-        raise ConstructionError(f"tree coloring failed at pair {check.witness}")
-    return coloring
 
 
 #: largest order given the Hamiltonian-path bound: the search behind it may
@@ -209,8 +191,9 @@ def pc_upper_bound(g: Graph) -> UpperBound:
     """pc(g) <= pc(T) = max degree of T for a spanning tree T, with its certificate.
 
     T is a Hamiltonian path where the search for one runs and finds it, else
-    the BFS tree of least maximum degree.  T is colored root-down and every
-    other edge gets color 1, which cannot break a proper tree path.
+    the BFS tree of least maximum degree (least root on ties).  T is colored
+    root-down and every other edge gets color 1, which cannot break a proper
+    tree path.
     """
     if g.n < 2:
         raise PreconditionError("upper bound is defined for n >= 2")
@@ -218,21 +201,18 @@ def pc_upper_bound(g: Graph) -> UpperBound:
         raise PreconditionError("upper bound requires a connected graph")
     path = hamiltonian_path(g) if 3 <= g.n <= _TRACEABLE_MAX_N else None
     if path is not None:
-        tree = [0] * g.n
-        for u, v in zip(path, path[1:]):
-            tree[u] |= 1 << v
-            tree[v] |= 1 << u
+        tree = Graph.from_edges(g.n, zip(path, path[1:]))
         root, tag = path[0], "traceable"
     else:
-        tree, root = low_degree_spanning_tree(g).adj, 0
+        trees = (_bfs_tree(g, root) for root in range(g.n))
+        tree, root = min(trees, key=lambda t: t.max_degree), 0
         tag = "star_exact" if _is_star(g) else "spanning_tree_delta"
     assignment = dict.fromkeys(g.edges, 1)
     assignment.update(_tree_coloring(tree, root))
-    cert = EdgeColoring(max(a.bit_count() for a in tree), assignment)
-    check = is_proper_connected(g, cert)
-    if not check.ok:  # pragma: no cover - construction is provably valid
-        raise AssertionError(f"upper bound certificate failed at pair {check.witness}")
-    return UpperBound(cert.k, tag, cert)
+    cert = EdgeColoring(tree.max_degree, assignment)
+    if not check_tree_witness(g, cert, tree):  # pragma: no cover - proper by construction
+        raise AssertionError("upper bound certificate failed its tree check")
+    return UpperBound(cert.k, tag, cert, tree)
 
 
 def pc_bounds(g: Graph) -> Bounds:

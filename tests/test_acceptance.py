@@ -16,12 +16,12 @@ from pclab import (
     has_strong_property,
     is_proper_connected,
     pc_bounds,
+    pc_upper_bound,
     relabel,
     run_construction_sweep,
     run_ng_census,
     run_pc_census,
     structure_flags,
-    tree_proper_coloring,
 )
 from pclab.generators import (
     cycle4_plus_edge,
@@ -120,7 +120,7 @@ def test_criterion_5_trees_match_max_degree():
         t = random_tree(rng.randint(2, 10), rng)
         result = exact_pc(t)
         assert result.value == t.max_degree and result.exhausted
-        coloring = tree_proper_coloring(t)
+        coloring = pc_upper_bound(t).certificate
         assert coloring.k == t.max_degree
         assert is_proper_connected(t, coloring)
     _report(5, "200 random trees: pc = max degree, certificates verified")

@@ -11,6 +11,7 @@ from pclab import (
     EdgeColoring,
     Graph,
     PreconditionError,
+    check_tree_witness,
     endpoint_color_pairs,
     format_coloring,
     has_strong_property,
@@ -140,6 +141,58 @@ class TestIsProperConnected:
 
     def test_single_vertex(self):
         assert is_proper_connected(Graph(1, (0,)), EdgeColoring(0, {}))
+
+
+def random_spanning_tree(g, rng):
+    """Grow a tree from a random vertex by random edges leaving it."""
+    inside = {rng.randrange(g.n)}
+    edges = []
+    while len(inside) < g.n:
+        u, v = rng.choice([e for e in g.edges if (e[0] in inside) != (e[1] in inside)])
+        inside |= {u, v}
+        edges.append((u, v))
+    return Graph.from_edges(g.n, edges)
+
+
+class TestTreeWitness:
+    # C5 with the chord 0-2; the path 1-0-2-3-4 colored 1, 2, 1, 2 is a witness
+    G = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (3, 4)])
+    TREE = Graph.from_edges(5, [(0, 1), (0, 2), (2, 3), (3, 4)])
+    COLORS = {(0, 1): 1, (0, 2): 2, (0, 4): 1, (1, 2): 1, (2, 3): 1, (3, 4): 2}
+
+    def test_accepts_a_witness(self):
+        assert check_tree_witness(self.G, EdgeColoring(2, self.COLORS), self.TREE)
+
+    def test_rejects_adjacent_tree_edges_of_one_color(self):
+        coloring = EdgeColoring(2, {**self.COLORS, (2, 3): 2})
+        assert not check_tree_witness(self.G, coloring, self.TREE)
+
+    def test_rejects_a_tree_edge_outside_the_graph(self):
+        tree = Graph.from_edges(5, [(0, 1), (0, 2), (2, 3), (1, 4)])
+        assert not check_tree_witness(self.G, EdgeColoring(2, self.COLORS), tree)
+
+    def test_rejects_edges_with_a_cycle(self):
+        # n-1 edges, each in g and properly colored, but 4 is left out
+        cycle = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        coloring = EdgeColoring(3, {**self.COLORS, (1, 2): 3})
+        assert not check_tree_witness(self.G, coloring, cycle)
+
+    def test_rejects_a_coloring_that_misses_an_edge(self):
+        partial = {e: c for e, c in self.COLORS.items() if e != (0, 4)}
+        assert not check_tree_witness(self.G, EdgeColoring(2, partial), self.TREE)
+
+    def test_accepted_witness_is_proper_connected(self):
+        rng = random.Random(223)
+        verdicts = [0, 0]
+        for _ in range(300):
+            g = random_connected_graph(rng.randint(2, 10), rng)
+            tree = random_spanning_tree(g, rng)
+            k = rng.randint(1, tree.max_degree + 1)
+            coloring = EdgeColoring(k, {e: rng.randint(1, k) for e in g.edges})
+            accepted = check_tree_witness(g, coloring, tree)
+            assert not accepted or is_proper_connected(g, coloring)
+            verdicts[accepted] += 1
+        assert min(verdicts) >= 20, verdicts
 
 
 class TestDeclaredColorCount:

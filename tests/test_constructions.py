@@ -21,8 +21,8 @@ from pclab import (
     graph6_encode,
     is_connected,
     is_proper_connected,
+    pc_upper_bound,
     structure_flags,
-    tree_proper_coloring,
 )
 from pclab import graph
 from pclab.constructions import (
@@ -50,18 +50,19 @@ def with_isolated_vertex(g: Graph) -> Graph:
 
 
 class TestTreeColoring:
+    # a tree is its own spanning tree: the upper bound colors it with max-degree colors
     def test_star_uses_four_colors(self):
-        coloring = tree_proper_coloring(star_graph(5))
+        coloring = pc_upper_bound(star_graph(5)).certificate
         assert coloring.k == 4 and len(coloring.used_colors()) == 4
 
     def test_path_alternates(self):
-        coloring = tree_proper_coloring(path_graph(6))
+        coloring = pc_upper_bound(path_graph(6)).certificate
         assert coloring.k == 2
         assert [coloring.color(i, i + 1) for i in range(5)] == [1, 2, 1, 2, 1]
 
     def test_double_star(self):
         t = double_star(2, 4)
-        coloring = tree_proper_coloring(t)
+        coloring = pc_upper_bound(t).certificate
         assert coloring.k == 4
         assert is_proper_connected(t, coloring)
 
@@ -69,15 +70,11 @@ class TestTreeColoring:
         rng = random.Random(211)
         for _ in range(40):
             t = random_tree(rng.randint(2, 10), rng)
-            coloring = tree_proper_coloring(t)
+            coloring = pc_upper_bound(t).certificate
             assert coloring.k == t.max_degree
             for v in range(t.n):
                 incident = [coloring.color(v, w) for w in t.neighbors(v)]
                 assert len(incident) == len(set(incident))
-
-    def test_rejects_non_tree(self):
-        with pytest.raises(PreconditionError):
-            tree_proper_coloring(cycle_graph(4))
 
 
 class TestDiamGe4:

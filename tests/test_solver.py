@@ -9,6 +9,7 @@ from pclab import (
     PreconditionError,
     SolverBudget,
     SolverStats,
+    check_tree_witness,
     exact_pc,
     exists_k_coloring,
     graph6_decode,
@@ -31,7 +32,8 @@ from pclab.generators import (
 )
 
 from pclab import solver
-from pclab.solver import hamiltonian_path, low_degree_spanning_tree
+from pclab.graph import bfs_distances
+from pclab.solver import hamiltonian_path
 
 from conftest import brute_pc, hamiltonian_path_dp, random_connected_graph, random_tree
 
@@ -45,6 +47,18 @@ def wheel(n: int) -> Graph:
     """Hub 0 joined to every vertex of the cycle 1..n-1."""
     rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
     return Graph.from_edges(n, [(0, v) for v in range(1, n)] + rim)
+
+
+def least_degree_bfs_tree(g: Graph) -> Graph:
+    """The BFS tree of least maximum degree over all roots, least root on ties;
+    each vertex hangs from its least neighbor one step closer to the root."""
+    trees = []
+    for root in range(g.n):
+        dist = bfs_distances(g, root)
+        trees.append(Graph.from_edges(g.n, [
+            (v, min(w for w in g.neighbors(v) if dist[w] == dist[v] - 1))
+            for v in range(g.n) if v != root]))
+    return min(trees, key=lambda t: t.max_degree)
 
 
 class TestBounds:
@@ -76,7 +90,8 @@ class TestBounds:
         for _ in range(20):
             g = random_connected_graph(rng.randint(2, 8), rng)
             ub = pc_upper_bound(g)
-            assert ub.certificate.k == ub.value
+            assert ub.certificate.k == ub.value == ub.tree.max_degree
+            assert check_tree_witness(g, ub.certificate, ub.tree)
             assert is_proper_connected(g, ub.certificate)
 
     def test_sandwich_across_census(self):
@@ -92,29 +107,33 @@ class TestBounds:
 
     @pytest.mark.parametrize("g", [spider(), wheel(7)], ids=["spider", "wheel7"])
     def test_one_checker_call_per_bound(self, g, monkeypatch):
-        # the tree coloring is proper by construction: only the certificate
-        # on g goes through the public checker
-        checked = []
+        # the certificate is checked once, as a tree witness; the pair-by-pair
+        # checker is left to search certificates
+        checked, pairwise = [], []
 
-        def counting(h, coloring):
-            checked.append(coloring)
-            return is_proper_connected(h, coloring)
+        def counting(h, coloring, tree):
+            checked.append((coloring, tree))
+            return check_tree_witness(h, coloring, tree)
 
-        monkeypatch.setattr(solver, "is_proper_connected", counting)
+        monkeypatch.setattr(solver, "check_tree_witness", counting)
+        monkeypatch.setattr(solver, "is_proper_connected",
+                            lambda h, coloring: pairwise.append(coloring))
         ub = pc_upper_bound(g)
-        assert checked == [ub.certificate]
+        assert checked == [(ub.certificate, ub.tree)] and pairwise == []
 
     def test_certificate_shapes_across_census(self):
         # a Hamiltonian path alternates 1, 2, 1, ... from its first vertex;
-        # otherwise the value is the least BFS-tree degree; other edges get 1
+        # otherwise the tree is the least-degree BFS tree; other edges get 1
         for n in range(2, 8):
             for g in enumerate_connected(n):
                 ub = pc_upper_bound(g)
                 assert ub.tag in ("traceable", "spanning_tree_delta", "star_exact")
                 path = hamiltonian_path(g) if n >= 3 else None
                 if path is None:
-                    assert ub.value == low_degree_spanning_tree(g).max_degree
+                    assert ub.tree == least_degree_bfs_tree(g)
+                    assert ub.value == ub.tree.max_degree
                     continue
+                assert ub.tree == Graph.from_edges(n, zip(path, path[1:]))
                 assert ub.tag == "traceable" and ub.value == ub.certificate.k == 2
                 on_path = {(min(e), max(e)): i % 2 + 1
                            for i, e in enumerate(zip(path, path[1:]))}
@@ -163,7 +182,7 @@ class TestTraceableBound:
 
     def test_traceable_beats_every_bfs_tree(self):
         g = wheel(7)
-        assert low_degree_spanning_tree(g).max_degree >= 3
+        assert least_degree_bfs_tree(g).max_degree >= 3
         ub = pc_upper_bound(g)
         assert ub.value == 2 and ub.tag == "traceable"
         assert ub.certificate.k == 2 and is_proper_connected(g, ub.certificate)
