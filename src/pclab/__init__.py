@@ -56,14 +56,11 @@ from .coloring import (
     parse_coloring,
 )
 from .solver import (
-    Bounds,
     PcResult,
     SolverBudget,
     SolverStats,
-    StrongResult,
     exact_pc,
     exists_k_coloring,
-    pc_bounds,
     pc_lower_bound,
     pc_upper_bound,
 )

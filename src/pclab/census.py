@@ -42,6 +42,8 @@ class CensusReport:
     max_sum: Optional[int] = None
     max_sum_witnesses: list[str] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
+    # always 0: a construction that fails verification is a violation; the
+    # key stays because readers of the report, perfbench among them, read it
     discrepancies: int = 0
     complete: bool = True  # False when any per-graph budget was hit
     work: dict = field(default_factory=dict)
@@ -50,8 +52,7 @@ class CensusReport:
 
     @property
     def passed(self) -> bool:
-        return (self.complete and not self.violations
-                and not self.classification_mismatches and self.discrepancies == 0)
+        return self.complete and not self.violations and not self.classification_mismatches
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -192,8 +193,6 @@ def run_construction_sweep(n: int, check: str,
             continue
         if built.coloring.k > 2:
             report.violations.append(f"{graph6_encode(g)}: used {built.coloring.k} colors")
-        if built.discrepancy:
-            report.discrepancies += 1
     report.work = {"graphs": report.total_graphs}
     return report
 

@@ -1,8 +1,8 @@
 """Command line for batch use: info, pc, verify, color-complement, gen, census.
 
-Exit codes: 0 success/true, 1 property false, 2 input error, 3 precondition
-unmet, 4 budget exceeded.  Machine output goes to stdout (key=value lines, or
-JSON with --json); diagnostics go to stderr.
+Exit codes: 0 success/true, 1 property false or no construction, 2 input
+error, 3 precondition unmet, 4 budget exceeded.  Machine output goes to
+stdout (key=value lines, or JSON with --json); diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .constructions import (
 from .errors import (
     BudgetExceededError,
     ColoringFormatError,
+    ConstructionError,
     GraphFormatError,
     PreconditionError,
     UnsupportedSizeError,
@@ -93,14 +94,10 @@ def _cmd_info(args) -> int:
 
 def _cmd_pc(args) -> int:
     g = graph6_decode(args.graph6)
-    result = exact_pc(g, require_strong=args.strong, budget=_budget_from(args))
+    result = exact_pc(g, budget=_budget_from(args))
     pairs = [("value", result.value), ("exhausted", result.exhausted),
              ("lower_bound", result.lower_bound),
              ("lower_bound_tag", result.lower_bound_tag)]
-    if result.strong is not None:
-        pairs += [("strong_possible", result.strong.possible),
-                  ("strong_value", result.strong.value
-                   if result.strong.value is not None else "unknown")]
     if args.json:
         payload = dict(pairs)
         payload["stats"] = result.stats
@@ -156,7 +153,7 @@ def _cmd_color_complement(args) -> int:
     else:
         built = METHODS[args.method](g)
     _emit([("outcome", "colored"), ("branch", built.branch),
-           ("colors", built.coloring.k), ("discrepancy", built.discrepancy)], args.json)
+           ("colors", built.coloring.k)], args.json)
     if not args.json:
         sys.stdout.write(format_coloring(built.coloring, h))
     return EXIT_OK
@@ -185,7 +182,6 @@ def _cmd_census(args) -> int:
            ("total_graphs", report.total_graphs), ("qualifying", report.qualifying),
            ("violations", len(report.violations)),
            ("mismatches", len(report.classification_mismatches)),
-           ("discrepancies", report.discrepancies),
            ("complete", report.complete), ("passed", report.passed)], args.json)
     for line in report.violations[:10] + report.classification_mismatches[:10]:
         print(f"  {line}", file=sys.stderr)
@@ -205,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pc", help="exact proper connection number with certificate")
     p.add_argument("graph6")
-    p.add_argument("--strong", action="store_true")
     p.add_argument("--budget", type=float, default=None, metavar="SECS")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cert", default=None, metavar="FILE")
@@ -252,6 +247,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ConstructionError as exc:
+        print(f"construction: {exc}", file=sys.stderr)
+        return EXIT_FALSE
     except (GraphFormatError, ColoringFormatError, UnsupportedSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

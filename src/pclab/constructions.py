@@ -3,8 +3,8 @@
 Each construction colors the complement of its input literally with two
 colors and re-verifies the certificate before returning it; extra complement
 edges outside the spanning structure a proof colors get color 2, which cannot
-break any certified path.  A search runs only as the fallback of the two
-triangle-free diameter-3 cases, which flags the result as a discrepancy.
+break any certified path.  No construction searches: a literal coloring that
+fails verification raises ConstructionError.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .graph import (
     is_connected,
     layered_view,
 )
-from .solver import exists_k_coloring, pc_upper_bound
+from .solver import pc_upper_bound
 
 CASE_ALL_ONES = "all_ones"
 CASE_N2_ONE_N3_BIG = "n2_one_n3_big"
@@ -62,7 +62,6 @@ class ClassificationVerdict:
 class Construction:
     coloring: EdgeColoring
     branch: str
-    discrepancy: bool  # literal coloring failed verification; search fallback used
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,13 @@ class DispatchResult:
     reason: Optional[str] = None
 
 
-def _verified(h: Graph, assignment: dict, k: int, branch: str,
-              discrepancy: bool = False) -> Construction:
+def _verified(h: Graph, assignment: dict, k: int, branch: str) -> Construction:
     coloring = EdgeColoring(k, assignment)
     check = is_proper_connected(h, coloring)
     if not check.ok:
         raise ConstructionError(
             f"{branch}: certificate failed verification at pair {check.witness}")
-    return Construction(coloring, branch, discrepancy)
+    return Construction(coloring, branch)
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
@@ -156,8 +154,8 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement at diameter 3.
 
     The two singleton-middle cases need no triangle-freeness; the remaining
-    cases do.  Literal colorings are re-verified, with a search fallback that
-    raises the discrepancy flag if they ever fail.
+    cases do.  Every coloring is literal and re-verified; one that fails
+    raises ConstructionError.
     """
     lv = layered_view(g)
     return _color_complement_diam3(g, lv, _analyze_diam3(g, lv), g.triangle_free)
@@ -170,7 +168,7 @@ def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
     layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
 
     if ana.case == CASE_ALL_ONES:  # g is the 4-path, so its complement is one too
-        return Construction(pc_upper_bound(h).certificate, "diam3_all_ones", False)
+        return Construction(pc_upper_bound(h).certificate, "diam3_all_ones")
     if ana.case == CASE_N2_ONE_N3_BIG:
         # {x} u N1 against N3 spans the complement; the middle vertex's edges
         # keep color 2 and go on from x along x-N3[0]
@@ -195,13 +193,7 @@ def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
             for w in layer3:
                 assignment[_key(u, w)] = 1
         branch = "diam3_n2_big"
-    try:
-        return _verified(h, assignment, 2, branch)
-    except ConstructionError:
-        fallback = exists_k_coloring(h, 2)
-        if fallback is None:
-            raise ConstructionError(f"{branch}: literal coloring and search both failed")
-        return Construction(fallback, branch, True)
+    return _verified(h, assignment, 2, branch)
 
 
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
@@ -244,8 +236,7 @@ def color_complement_with_trivial_component(g: Graph) -> Construction:
                       for (a, b), c in inner.coloring.assignment.items()}
         for i, w in enumerate(sorted(rest)):
             assignment[_key(solo, w)] = i % 2 + 1  # the join vertex reaches all directly
-        return _verified(h, assignment, 2, "trivial_component_join",
-                         discrepancy=inner.discrepancy)
+        return _verified(h, assignment, 2, "trivial_component_join")
     # complement of the nontrivial component splits into two cliques
     parts = components(h2)
     if len(parts) != 2:  # pragma: no cover - triangle-freeness forces two cliques

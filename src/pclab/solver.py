@@ -64,27 +64,12 @@ class UpperBound:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    lower: LowerBound
-    upper: UpperBound
-
-
-@dataclass(frozen=True)
-class StrongResult:
-    possible: bool  # False iff the graph has a bridge (no second path exists)
-    value: Optional[int]
-    certificate: Optional[EdgeColoring]
-    exhausted: bool
-
-
-@dataclass(frozen=True)
 class PcResult:
     value: int
     certificate: Optional[EdgeColoring]
     exhausted: bool  # True: every smaller color count is refuted (bound or enumeration)
     lower_bound: int
     lower_bound_tag: str
-    strong: Optional[StrongResult] = None
     stats: Optional[dict] = None
 
 
@@ -215,10 +200,6 @@ def pc_upper_bound(g: Graph) -> UpperBound:
     return UpperBound(cert.k, tag, cert, tree)
 
 
-def pc_bounds(g: Graph) -> Bounds:
-    return Bounds(pc_lower_bound(g), pc_upper_bound(g))
-
-
 class _Clock:
     __slots__ = ("deadline",)
 
@@ -323,8 +304,7 @@ def exists_k_coloring(g: Graph, k: int, require_strong: bool = False,
     return _search_k(g, k, require_strong, budget, stats, _Clock(budget.max_seconds))
 
 
-def exact_pc(g: Graph, require_strong: bool = False,
-             budget: SolverBudget | None = None) -> PcResult:
+def exact_pc(g: Graph, budget: SolverBudget | None = None) -> PcResult:
     """Exact pc(g) with a verified certificate; pc of the one-vertex graph is 0.
 
     ``exhausted`` is True when every smaller color count was ruled out, by the
@@ -339,9 +319,7 @@ def exact_pc(g: Graph, require_strong: bool = False,
     t0 = time.monotonic()
 
     if g.n == 1:
-        return PcResult(0, EdgeColoring(0, {}), True, 0, "trivial",
-                        StrongResult(True, 0, EdgeColoring(0, {}), True) if require_strong else None,
-                        stats.to_json())
+        return PcResult(0, EdgeColoring(0, {}), True, 0, "trivial", stats.to_json())
 
     lower = pc_lower_bound(g)
     if lower.tag == "complete":
@@ -364,30 +342,5 @@ def exact_pc(g: Graph, require_strong: bool = False,
                 certificate = found
                 break
 
-    strong = None
-    if require_strong:
-        strong = _strong_variant(g, value if exhausted else max(2, lower.value),
-                                 budget, stats, clock)
-
     stats.elapsed_seconds = time.monotonic() - t0
-    return PcResult(value, certificate, exhausted, lower.value, lower.tag,
-                    strong, stats.to_json())
-
-
-def _strong_variant(g: Graph, start_k: int, budget: SolverBudget,
-                    stats: SolverStats, clock: _Clock) -> StrongResult:
-    if bridge_profile(g).bridges:
-        # the endpoints of a bridge have a unique path between them
-        return StrongResult(False, None, None, True)
-    for k in range(max(2, start_k), g.m):
-        try:
-            found = _search_k(g, k, True, budget, stats, clock)
-        except BudgetExceededError:
-            return StrongResult(True, None, None, False)
-        if found is not None:
-            return StrongResult(True, k, found, True)
-    # bridgeless: the all-distinct coloring is strong (two edge-disjoint paths per pair)
-    rainbow = EdgeColoring(g.m, {e: i + 1 for i, e in enumerate(g.edges)})
-    if not has_strong_property(g, rainbow):  # pragma: no cover - theory guarantees this
-        raise AssertionError("all-distinct coloring failed the strong check on a bridgeless graph")
-    return StrongResult(True, g.m, rainbow, True)
+    return PcResult(value, certificate, exhausted, lower.value, lower.tag, stats.to_json())

@@ -3,9 +3,11 @@ import json
 import pytest
 
 import pclab.census
+import pclab.constructions
 import pclab.graph
 from pclab import (
     BudgetExceededError,
+    ConnectivityCheck,
     SolverBudget,
     UnsupportedSizeError,
     are_isomorphic,
@@ -164,6 +166,13 @@ class TestSweeps:
         monkeypatch.setattr(pclab.census, construction, cut)
         report = run_construction_sweep(5, check)
         assert report.qualifying > 0 and not report.complete and not report.passed
+        assert len(report.violations) == report.qualifying
+
+    def test_failed_construction_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(pclab.constructions, "is_proper_connected",
+                            lambda h, coloring: ConnectivityCheck(False, (0, 1)))
+        report = run_construction_sweep(6, "thm33")
+        assert report.qualifying > 0 and not report.passed
         assert len(report.violations) == report.qualifying
 
     def test_unknown_check_rejected(self):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pclab import (
+    ConnectivityCheck,
     GraphFormatError,
     UnsupportedSizeError,
     exact_pc,
@@ -61,13 +62,6 @@ class TestPc:
         assert code == 0 and kv(out)["value"] == "3"
         code, out, _ = run_cli("verify", g6, "--coloring", str(cert), capsys=capsys)
         assert code == 0 and kv(out)["ok"] == "true"
-
-    def test_strong_flag(self, capsys):
-        code, out, _ = run_cli("pc", graph6_encode(path_graph(4)), "--strong",
-                               capsys=capsys)
-        assert code == 0
-        pairs = kv(out)
-        assert pairs["strong_possible"] == "false"
 
 
 class TestVerify:
@@ -158,6 +152,14 @@ class TestColorComplement:
         code, out, _ = run_cli("color-complement", graph6_encode(g), capsys=capsys)
         assert code == 1
         assert kv(out)["outcome"] == "no_construction"
+
+    def test_failed_construction_exits_one(self, capsys, monkeypatch):
+        # a literal coloring that fails its check is no construction, not a traceback
+        monkeypatch.setattr(pclab.constructions, "is_proper_connected",
+                            lambda h, coloring: ConnectivityCheck(False, (0, 1)))
+        code, out, err = run_cli("color-complement", "DhC", capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("construction: diam_ge4")
 
     def test_emitted_coloring_verifies(self, capsys, tmp_path):
         from pclab import complement, parse_coloring, is_proper_connected

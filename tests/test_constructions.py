@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import pclab.constructions
 from pclab import (
+    ConnectivityCheck,
+    ConstructionError,
     EdgeColoring,
     Graph,
     PreconditionError,
@@ -82,7 +85,7 @@ class TestDiamGe4:
                                    cycle_graph(10), path_graph(9)])
     def test_two_coloring_verifies(self, g):
         built = color_complement_diam_ge4(g)
-        assert built.coloring.k == 2 and not built.discrepancy
+        assert built.coloring.k == 2
         assert is_proper_connected(complement(g), built.coloring)
 
     def test_agreement_with_solver(self):
@@ -144,9 +147,16 @@ class TestDiam3Coloring:
                                    double_star(2, 3)])
     def test_triangle_free_diam3_verifies(self, g):
         built = color_complement_diam3_trianglefree(g)
-        assert built.coloring.k <= 2 and not built.discrepancy
+        assert built.coloring.k <= 2
         assert is_proper_connected(complement(g), built.coloring)
         assert exact_pc(complement(g)).value == 2
+
+    def test_failed_literal_coloring_raises(self, monkeypatch):
+        # no search stands behind a literal coloring
+        monkeypatch.setattr(pclab.constructions, "is_proper_connected",
+                            lambda h, coloring: ConnectivityCheck(False, (0, 1)))
+        with pytest.raises(ConstructionError, match="diam3_n2_big"):
+            color_complement_diam3_trianglefree(cycle_graph(6))
 
     def test_singleton_middle_without_triangle_freeness(self):
         # triangle at the near side, single middle vertex, big far side: the
@@ -382,7 +392,6 @@ class TestCensusAgreement:
                     built = color_complement_diam2_trianglefree(g)
                 if built is None:
                     continue
-                assert not built.discrepancy
                 value = exact_pc(complement(g)).value
                 assert value == built.coloring.k == 2
                 checked += 1

@@ -4,7 +4,8 @@ A function-level import usually hides an import cycle; keeping them out means
 a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
 outlive the code that used them, private module-level names that outlive
-their last caller, and a second BFS frontier loop beside ``graph._layers``.
+their last caller, a second BFS frontier loop beside ``graph._layers``, and a
+construction that reaches for the solver's search.
 """
 import ast
 from collections import Counter
@@ -118,3 +119,18 @@ def frontier_loops():
 def test_one_bfs_frontier_loop():
     # graph._layers is the one BFS; a second loop is a second implementation
     assert frontier_loops() == ["graph"]
+
+
+def solver_imports(module: str) -> set[str]:
+    """The names ``module`` imports from ``.solver``."""
+    path = Path(pclab.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("solver", "pclab.solver")
+            for a in node.names}
+
+
+def test_constructions_never_search():
+    # a construction colors literally; only the upper bound's certificate is
+    # borrowed from the solver, so none can fall back on a search
+    assert solver_imports("constructions") == {"pc_upper_bound"}

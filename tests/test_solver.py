@@ -15,7 +15,6 @@ from pclab import (
     graph6_decode,
     has_strong_property,
     is_proper_connected,
-    pc_bounds,
     pc_lower_bound,
     pc_upper_bound,
     relabel,
@@ -97,9 +96,8 @@ class TestBounds:
     def test_sandwich_across_census(self):
         for n in range(2, 8):
             for g in enumerate_connected(n):
-                bounds = pc_bounds(g)
                 value = exact_pc(g).value
-                assert bounds.lower.value <= value <= bounds.upper.value
+                assert pc_lower_bound(g).value <= value <= pc_upper_bound(g).value
 
     def test_single_vertex_rejected(self):
         with pytest.raises(PreconditionError):
@@ -357,28 +355,26 @@ class TestExactPc:
 
 class TestStrongVariant:
     def test_bridge_makes_strong_impossible(self):
-        result = exact_pc(path_graph(4), require_strong=True)
-        assert result.strong is not None and not result.strong.possible
-
-    def test_c4_strong_two(self):
-        result = exact_pc(cycle_graph(4), require_strong=True)
-        assert result.strong.possible and result.strong.value == 2
-        assert has_strong_property(cycle_graph(4), result.strong.certificate)
+        # the ends of a bridge have one path between them
+        for k in (1, 2, 3):
+            assert exists_k_coloring(path_graph(4), k, require_strong=True) is None
 
     def test_triangle_strong_three(self):
-        result = exact_pc(complete_graph(3), require_strong=True)
-        assert result.strong.value == 3  # two colors cannot split both endpoints
+        g = complete_graph(3)
+        # two colors cannot split both endpoints
+        assert exists_k_coloring(g, 2, require_strong=True) is None
+        found = exists_k_coloring(g, 3, require_strong=True)
+        assert found is not None and has_strong_property(g, found)
 
     def test_bowtie_strong_exists(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        result = exact_pc(g, require_strong=True)
-        assert result.strong.possible
-        assert has_strong_property(g, result.strong.certificate)
+        found = exists_k_coloring(g, 3, require_strong=True)
+        assert found is not None and has_strong_property(g, found)
 
     def test_strong_at_least_pc(self):
         for g in (cycle_graph(5), complete_multipartite(2, 2, 2)):
-            result = exact_pc(g, require_strong=True)
-            assert result.strong.value >= result.value
+            for k in range(1, exact_pc(g).value):
+                assert exists_k_coloring(g, k, require_strong=True) is None
 
 
 def _random_connected_spanning_subgraph(g: Graph, rng: random.Random) -> Graph:
