@@ -8,6 +8,10 @@ One BFS layer walk, ``_layers``, answers every traversal question: distances
 (and through them the far-root view and the diameter), connectivity,
 components, bipartition, and the bridge and cut-vertex tests behind
 ``bridge_profile``, ``structure_flags`` and the enumerator's prefilter.
+
+Canonical labeling refines ordered vertex partitions, held as bitmask cells,
+to equitable ones and branches only where refinement leaves a choice, one
+vertex per twin class; the code is the least column string over the leaves.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, UnsupportedSizeError
 
-#: canonical labeling uses exhaustive placement search; beyond this it refuses
+#: canonical labeling searches a tree whose leaves grow with the automorphism
+#: group (2C5: 200); beyond this it refuses
 MAX_CANONICAL_N = 10
 
 
@@ -306,56 +311,105 @@ def _twin_classes(n: int, adj: Sequence[int]) -> list[int]:
             for u in range(n)]
 
 
+def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
+    """Split the ordered cells (vertex bitmasks) until the partition is equitable.
+
+    Each pass splits every cell by its vertices' counts of neighbors in each
+    cell, in cell order, and puts the sub-cells in ascending order of that
+    count string. Vertices of one cell already agree on their counts into the
+    cells the last pass started from, and the pieces of one split cell have a
+    fixed total, so counts into the ``fresh`` cells alone, every piece the
+    last pass split off but the last of each cell, order and group them the
+    same way. A lone singleton splitter {w} splits by adjacency to w,
+    non-neighbors first. Each step reads labels only through adjacency, so
+    relabeling the graph relabels the result.
+    """
+    n = len(adj)
+    while fresh and len(cells) < n:
+        out, new = [], []
+        lone = None
+        if len(fresh) == 1 and fresh[0] & (fresh[0] - 1) == 0:
+            lone = adj[fresh[0].bit_length() - 1]
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            if lone is not None:
+                hit = cell & lone
+                pieces = [cell ^ hit, hit] if hit and hit != cell else [cell]
+            else:
+                groups: dict[int, int] = {}
+                for v in _bits(cell):
+                    key = 0
+                    for f in fresh:  # counts stay below 16 while n <= MAX_CANONICAL_N
+                        key = key << 4 | (adj[v] & f).bit_count()
+                    groups[key] = groups.get(key, 0) | 1 << v
+                pieces = [groups[key] for key in sorted(groups)]
+            out += pieces
+            new += pieces[:-1]
+        cells, fresh = out, new
+    return cells
+
+
 def _min_placement(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The least column string over all placements, and the least placement realizing it.
+    """The least column string over the leaves of an individualization–refinement
+    search, and the first placement in search order realizing it.
 
     cols[k] packs the adjacency bits between placement[k] and
-    placement[0..k-1], earlier positions in higher bits; strings and
-    placements compare lexicographically. That order is greedy by position:
-    column k of the least string is the least next column over the
-    placements whose first k columns are least. So the placements are grown
-    one column at a time, keeping every tied prefix with each vertex's next
-    column (a placed vertex holds a value above any column). Each step fixes
-    the least next column over all tied prefixes and extends each prefix by
-    every vertex that reaches it, in vertex order, but only by the first of
-    each twin class: swapping two unplaced twins keeps the string and moves
-    the lesser one forward. The prefixes thus stay in placement
-    order, and the first one left after n steps is the least placement.
+    placement[0..k-1], earlier positions in higher bits, so the string fixes
+    the graph it was read from. The search (McKay & Piperno, *Practical graph
+    isomorphism II*, 2014) starts from the refined unit partition and, at each
+    partition that is not discrete, individualizes each vertex of the first
+    cell with more than one vertex in turn and refines again; a discrete
+    partition is a leaf, and its cell order a placement. Relabeling the graph
+    relabels the whole tree, so the set of leaf strings, and with it their
+    least one, is an isomorphism invariant. Only the first vertex of each twin
+    class in the cell is individualized: swapping two twins that are not yet
+    individualized is an automorphism fixing the partition, so their subtrees
+    read the same strings.
     """
     if n == 1:
         return (), (0,)
-    twin = _twin_classes(n, adj)
-    placed = 1 << n
-    tied = [((), [0] * n)]
-    cols = []
-    for _ in range(n):
-        col = min(min(colvals) for _, colvals in tied)
-        grown = []
-        for prefix, colvals in tied:
-            classes = set()
-            for u, c in enumerate(colvals):
-                if c == col and twin[u] not in classes:
-                    classes.add(twin[u])
-                    nxt = [d << 1 | (a >> u & 1) for d, a in zip(colvals, adj)]
-                    nxt[u] = placed
-                    grown.append((prefix + (u,), nxt))
-        cols.append(col)
-        tied = grown
-    return tuple(cols), tied[0][0]
+    twin = None
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    full = (1 << n) - 1
+    stack = [_refine(adj, [full], [full])]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if i is None:
+            placement = tuple(c.bit_length() - 1 for c in cells)
+            cols = []
+            for k, v in enumerate(placement):
+                col = 0
+                for u in placement[:k]:
+                    col = col << 1 | (adj[v] >> u & 1)
+                cols.append(col)
+            if best is None or tuple(cols) < best[0]:
+                best = tuple(cols), placement
+            continue
+        twin = twin or _twin_classes(n, adj)
+        target, seen, children = cells[i], set(), []
+        for v in _bits(target):
+            if twin[v] not in seen:
+                seen.add(twin[v])
+                children.append(_refine(
+                    adj, cells[:i] + [1 << v, target ^ 1 << v] + cells[i + 1:], [1 << v]))
+        stack += reversed(children)
+    return best
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical code plus the placement realizing it.
 
-    The code is the least column string over all placements of g's vertices
-    (see ``_min_placement``), and the placement is the lexicographically
-    least one realizing it; the string is fixed one column at a time, which
-    is exact because lexicographic order is greedy by position. The code
-    lists the canonically labeled graph's upper-triangle adjacency bits
-    column by column, so it fixes that graph (and its graph6 text)
-    one-to-one, and two graphs get identical codes exactly when they are
-    isomorphic. ``placement[i]`` is the original vertex at canonical
-    position i.
+    The code is the least column string over the leaves of an
+    individualization–refinement search (see ``_min_placement``); it lists
+    the canonically labeled graph's upper-triangle adjacency bits column by
+    column, so it fixes that graph (and its graph6 text) one-to-one, and two
+    graphs get identical codes exactly when they are isomorphic.
+    ``placement[i]`` is the original vertex at canonical position i; when
+    several placements realize the code (g has automorphisms), which one is
+    returned depends on g's labels.
     """
     if g.n > MAX_CANONICAL_N:
         raise UnsupportedSizeError(

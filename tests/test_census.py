@@ -46,10 +46,10 @@ class TestPcCensus:
         with pytest.raises(UnsupportedSizeError):
             run_pc_census(2)
 
-    @pytest.mark.parametrize("n,assignments", [(5, 8), (6, 145), (7, 1810)])
+    @pytest.mark.parametrize("n,assignments", [(5, 8), (6, 145), (7, 1974)])
     def test_search_work_is_pinned(self, n, assignments):
-        # the solver's search order decides these counts: a change here means
-        # the order moved, not only the speed
+        # the solver's search order and the representatives' labels decide
+        # these counts: a change here means one of them moved, not only the speed
         assert run_pc_census(n).work["assignments"] == assignments
 
     def test_budget_cutoff_is_reported(self):

@@ -12,7 +12,7 @@ from pclab import (
     generate,
     is_connected,
 )
-from pclab import generators
+from pclab import generators, graph
 from pclab.generators import (
     complete_multipartite,
     cycle4_plus_edge,
@@ -93,6 +93,21 @@ class TestEnumeration:
         monkeypatch.setattr(generators, "_min_placement", counted)
         assert len(list(enumerate_connected(7))) == count_connected_classes(7)
         assert len(calls) <= 1698
+
+    def test_refinements_per_cold_build(self, monkeypatch):
+        # the 1,698 labelings of levels 2..7 refine 5,252 partitions, 2,479 of
+        # them leaves: refinement settles most of the labeling before any branch
+        monkeypatch.setattr(generators, "_LEVELS", {})
+        calls = []
+        refine = graph._refine
+
+        def counted(adj, cells, fresh):
+            calls.append(len(adj))
+            return refine(adj, cells, fresh)
+
+        monkeypatch.setattr(graph, "_refine", counted)
+        assert len(list(enumerate_connected(7))) == count_connected_classes(7)
+        assert len(calls) <= 5252
 
     def test_counts_match_labeled_brute_force(self):
         # every labeled connected graph on n <= 5 vertices, deduplicated

@@ -22,8 +22,10 @@ from pclab import (
     relabel,
     structure_flags,
 )
+from pclab import graph
 from pclab.generators import (
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     double_star,
     enumerate_connected,
@@ -45,6 +47,13 @@ def graphs(max_n=8):
                                           for v in range(u + 1, n)], bits) if keep]),
             st.lists(st.booleans(), min_size=n * (n - 1) // 2,
                      max_size=n * (n - 1) // 2)))
+
+
+def column_string(adj, placement):
+    """The code format read off directly: bit k-1-j of column k is the edge
+    between the vertices at positions j < k."""
+    return tuple(sum((adj[placement[k]] >> placement[j] & 1) << (k - 1 - j) for j in range(k))
+                 for k in range(len(placement)))
 
 
 class TestConstruction:
@@ -257,14 +266,11 @@ class TestCanonical:
     def test_c4_differs_from_star(self):
         assert canonical_code(cycle_graph(4)) != canonical_code(star_graph(4))
 
-    def test_labeling_against_brute_force(self):
-        """The code is the least column string over all placements and the
-        placement the least one realizing it; twin classes are exactly the
-        vertices one transposition swaps."""
-        def cols(adj, p):
-            return tuple(sum((adj[p[k]] >> p[j] & 1) << (k - 1 - j) for j in range(k))
-                         for k in range(len(p)))
-
+    def test_code_is_invariant_and_realized(self):
+        """Every labeled graph at n <= 5 gets the code of each of its n!
+        relabelings, and there and on a seeded corpus at n = 6, 7 the
+        placement reads the code back, so equal codes mean isomorphic graphs;
+        twin classes are exactly the vertices one transposition swaps."""
         rng = random.Random(14)
         corpus = [(n, bits) for n in range(2, 6) for bits in range(1 << n * (n - 1) // 2)]
         for n, count in ((6, 60), (7, 15)):
@@ -273,15 +279,25 @@ class TestCanonical:
                 corpus.append((n, sum((rng.random() < density) << i
                                       for i in range(n * (n - 1) // 2))))
         assert _min_placement(1, (0,)) == ((), (0,))
+        codes = {}
         for n, bits in corpus:
             adj = Graph.from_edges(n, [e for i, e in enumerate(combinations(range(n), 2))
                                        if bits >> i & 1]).adj
-            assert _min_placement(n, adj) == min(
-                (cols(adj, p), p) for p in permutations(range(n)))
+            code, placement = codes[n, bits] = _min_placement(n, adj)
+            assert sorted(placement) == list(range(n))
+            assert column_string(adj, placement) == code
             twin = _twin_classes(n, adj)
             for u, v in combinations(range(n), 2):
                 assert (twin[u] == twin[v]) == \
                     (adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for n in range(2, 6):
+            pairs = list(combinations(range(n), 2))
+            for perm in permutations(range(n)):
+                # edge i of a graph is edge moved[i] of its relabeling by perm
+                moved = [pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in pairs]
+                for bits in range(1 << len(pairs)):
+                    image = sum(1 << moved[i] for i in range(len(pairs)) if bits >> i & 1)
+                    assert codes[n, image][0] == codes[n, bits][0]
 
     def test_relabeling_invariance_across_census(self):
         rng = random.Random(5)
@@ -292,6 +308,46 @@ class TestCanonical:
                     perm = list(range(n))
                     rng.shuffle(perm)
                     assert canonical_code(relabel(g, perm)) == code
+
+    def test_invariance_up_to_the_cap(self, monkeypatch):
+        # symmetric graphs at n = 8..10, where refinement leaves the most to the
+        # search (2C5: 331 refined partitions); without twin pruning K10 and the
+        # empty graph would have 10! leaves, and the bound stops that early
+        refine, work = graph._refine, []
+
+        def bounded(*args):
+            work.append(None)
+            assert len(work) <= 400, "one labeling refines more than 400 partitions"
+            return refine(*args)
+
+        monkeypatch.setattr(graph, "_refine", bounded)
+        petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(i, i + 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        corpus = [
+            complete_graph(10),
+            Graph.from_edges(10, []),
+            Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+            complete_multipartite(5, 5),
+            complete_multipartite(2, 2, 2, 2, 2),
+            petersen,
+            complement(petersen),
+            cycle_graph(10),
+            Graph.from_edges(10, [(5 * c + i, 5 * c + (i + 1) % 5)
+                                  for c in range(2) for i in range(5)]),
+            Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                                 if u < u ^ 1 << b]),
+        ]
+        rng = random.Random(10)
+        for g in corpus:
+            work.clear()
+            code, placement = canonical_form(g)
+            assert column_string(g.adj, placement) == code
+            for _ in range(30):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                work.clear()
+                assert canonical_code(relabel(g, perm)) == code
 
     def test_agrees_with_networkx_isomorphism(self):
         rng = random.Random(31)

@@ -4,8 +4,9 @@ A function-level import usually hides an import cycle; keeping them out means
 a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
 outlive the code that used them, private module-level names that outlive
-their last caller, a second BFS frontier loop beside ``graph._layers``, and a
-construction that reaches for the solver's search.
+their last caller, a second BFS frontier loop beside ``graph._layers``, a
+construction that reaches for the solver's search, and an enumerator that no
+longer labels through the one name the benchmark hooks.
 """
 import ast
 from collections import Counter
@@ -134,3 +135,18 @@ def test_constructions_never_search():
     # a construction colors literally; only the upper bound's certificate is
     # borrowed from the solver, so none can fall back on a search
     assert solver_imports("constructions") == {"pc_upper_bound"}
+
+
+def test_enumerator_labels_through_imported_name():
+    # the benchmark times labeling by patching generators._min_placement; a
+    # rename or an inlined labeling would read 0 there without an error
+    path = Path(pclab.__file__).parent / "generators.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "graph" and node.level == 1
+                for a in node.names if a.asname is None}
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_level")
+    called = {node.func.id for node in ast.walk(build)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_min_placement" in imported & called
