@@ -142,11 +142,8 @@ def _cmd_color_complement(args) -> int:
             pairs = [("outcome", result.outcome), ("reason", result.reason or "")]
             if result.analysis is not None:
                 ana = result.analysis
-                pairs += [("case", ana.case), ("n1", ana.n1), ("n2", ana.n2),
-                          ("n3", ana.n3), ("n1_prime", ana.n1_prime),
-                          ("n2_prime", ana.n2_prime),
-                          ("lower_bound",
-                           ana.lower_bound if ana.lower_bound is not None else "")]
+                pairs += [("case", ana.case), *((f"n{i}", len(ana.layers[i])) for i in (1, 2, 3)),
+                          ("n2_prime", ana.n2_prime), ("lower_bound", ana.lower_bound)]
             _emit(pairs, args.json)
             return EXIT_FALSE
         built = result.construction

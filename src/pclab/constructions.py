@@ -17,6 +17,8 @@ from .generators import FamilySpec, generate
 from .graph import (
     Graph,
     LayeredView,
+    _view,
+    bfs_distances,
     canonical_form,
     complement,
     components,
@@ -24,31 +26,35 @@ from .graph import (
     is_connected,
     layered_view,
 )
-from .solver import pc_upper_bound
 
-CASE_ALL_ONES = "all_ones"
-CASE_N2_ONE_N3_BIG = "n2_one_n3_big"
-CASE_N1_BIG_REST_ONE = "n1_big_rest_one"
+CASE_N2_ONE = "n2_one"
 CASE_N2_BIG = "n2_big"
 
 
 @dataclass(frozen=True)
 class Diam3Analysis:
-    """Layer profile of a diameter-3 graph around a far root.
+    """Layers N0..N3 of a diameter-3 graph G around a far root, and their shape.
 
-    n1_prime counts N1 vertices with no neighbor inside N1; n2_prime counts
-    N2 vertices of degree 1 in the complement.  Depending on the case the
-    applicable value is a lower bound on pc(complement).
+    The root, ``layers[0][0]``, is the far root x of ``layered_view`` unless
+    N2(x) and N3(x) are single vertices and N1(x) is larger; then it is the
+    lone N3 vertex, whose N1 is the lone N2(x) vertex.  So the shape is ``n2_big`` (n2 >= 2) or
+    ``n2_one`` (n2 = 1, the 4-path included).
+
+    ``lower_bound`` holds for every such G.  The complement H is connected (the
+    root is adjacent in H to N2 and N3, and each N1 vertex to all of N3) and not
+    complete, so pc(H) >= 2.  Each of the n2_prime N2 vertices of H-degree 1 is
+    a leaf at the root in H, and the one path between two such leaves runs
+    through the root, so these pendant edges need distinct colors: pc(H) >=
+    n2_prime (the bridges bound of Borozan et al., Discrete Math. 312, 2012).
     """
 
-    root: int
-    n1: int
-    n2: int
-    n3: int
-    n1_prime: int
+    layers: tuple[tuple[int, ...], ...]
     n2_prime: int
     case: str
-    lower_bound: Optional[int]
+
+    @property
+    def lower_bound(self) -> int:
+        return max(2, self.n2_prime)
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ def _color_spanning_bipartite(h: Graph, side_a: Sequence[int], side_b: Sequence[
     side (index 0); every other edge of h gets color 2.  With both sides of size
     >= 2, each pair is joined by a path alternating between the sides, such as
     a_i-b_j-a_0-b_0-a_k colored 1, 2, 1, 2, and a vertex joined to side_a[0] by
-    a color-2 edge goes on along side_a[0]-side_b[0], which has color 1.
+    a color-2 edge goes on along side_a[0]-side_b[0], which has color 1.  With
+    sides of 2 and 1 on the 4-path's complement, the path c-a_0-b_0-a_1 through
+    the fourth vertex c is colored 2, 1, 2.
     """
     assignment = {e: 2 for e in h.edges}
     for i, a in enumerate(side_a):
@@ -124,76 +132,48 @@ def _color_complement_diam_ge4(g: Graph, lv: LayeredView) -> Construction:
 
 
 def analyze_diam3(g: Graph) -> Diam3Analysis:
-    """Layer sizes, the two pendant-edge counters, and the case tag at diameter 3."""
+    """Layers, the pendant-edge counter, and the shape at diameter 3."""
     return _analyze_diam3(g, layered_view(g))
 
 
 def _analyze_diam3(g: Graph, lv: LayeredView) -> Diam3Analysis:
     if lv.diameter != 3:
         raise PreconditionError("analysis applies to diameter-3 graphs only")
-    layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
-    n1, n2, n3 = len(layer1), len(layer2), len(layer3)
-    mask1 = 0
-    for v in layer1:
-        mask1 |= 1 << v
-    n1_prime = sum(1 for v in layer1 if g.adj[v] & mask1 == 0)
-    h = complement(g)
-    n2_prime = sum(1 for v in layer2 if h.degree(v) == 1)
-    if n2 >= 2:
-        case, lower = CASE_N2_BIG, n2_prime
-    elif n1 == 1 and n3 == 1:
-        case, lower = CASE_ALL_ONES, None
-    elif n3 >= 2:
-        case, lower = CASE_N2_ONE_N3_BIG, None
-    else:
-        case, lower = CASE_N1_BIG_REST_ONE, n1_prime
-    return Diam3Analysis(lv.root, n1, n2, n3, n1_prime, n2_prime, case, lower)
+    if len(lv.layers[2]) == len(lv.layers[3]) == 1 < len(lv.layers[1]):
+        lv = _view(bfs_distances(g, lv.layers[3][0]))
+    layers = lv.layers[:4]
+    n2_prime = sum(1 for v in layers[2] if g.degree(v) == g.n - 2)  # H-degree 1
+    return Diam3Analysis(layers, n2_prime, CASE_N2_BIG if len(layers[2]) >= 2 else CASE_N2_ONE)
 
 
 def color_complement_diam3_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement at diameter 3.
 
-    The two singleton-middle cases need no triangle-freeness; the remaining
-    cases do.  Every coloring is literal and re-verified; one that fails
-    raises ConstructionError.
+    The ``n2_one`` shape needs no triangle-freeness; ``n2_big`` does.  Every
+    coloring is literal and re-verified; one that fails raises
+    ConstructionError.
     """
-    lv = layered_view(g)
-    return _color_complement_diam3(g, lv, _analyze_diam3(g, lv), g.triangle_free)
-
-
-def _color_complement_diam3(g: Graph, lv: LayeredView, ana: Diam3Analysis,
-                            triangle_free: bool) -> Construction:
-    h = complement(g)
-    x = ana.root
-    layer1, layer2, layer3 = lv.layers[1], lv.layers[2], lv.layers[3]
-
-    if ana.case == CASE_ALL_ONES:  # g is the 4-path, so its complement is one too
-        return Construction(pc_upper_bound(h).certificate, "diam3_all_ones")
-    if ana.case == CASE_N2_ONE_N3_BIG:
-        # {x} u N1 against N3 spans the complement; the middle vertex's edges
-        # keep color 2 and go on from x along x-N3[0]
-        return _color_spanning_bipartite(h, (x,) + layer1, layer3, "diam3_n2_one_n3_big")
-
-    if not triangle_free:
+    ana = analyze_diam3(g)
+    if ana.case == CASE_N2_BIG and not g.triangle_free:
         raise PreconditionError(
             "this layer shape needs a triangle-free input (pc of the complement may be large)")
+    return _color_complement_diam3(g, ana)
 
-    if ana.case == CASE_N1_BIG_REST_ONE:
-        x2, x3 = layer2[0], layer3[0]
-        assignment = {e: 2 for e in h.edges}
-        assignment[_key(x, x2)] = 1
-        for v in layer1:
-            assignment[_key(x3, v)] = 1
-        branch = "diam3_n1_big_rest_one"
-    else:  # CASE_N2_BIG
-        assignment = {e: 2 for e in h.edges}
-        for v in layer2:
-            assignment[_key(x, v)] = 1
-        for u in layer1:
-            for w in layer3:
-                assignment[_key(u, w)] = 1
-        branch = "diam3_n2_big"
-    return _verified(h, assignment, 2, branch)
+
+def _color_complement_diam3(g: Graph, ana: Diam3Analysis) -> Construction:
+    h = complement(g)
+    (x,), layer1, layer2, layer3 = ana.layers
+    if ana.case == CASE_N2_ONE:
+        # {x} u N1 against N3 spans the complement; the middle vertex's edges
+        # keep color 2 and go on from x along x-N3[0]
+        return _color_spanning_bipartite(h, (x,) + layer1, layer3, "diam3_n2_one")
+    assignment = {e: 2 for e in h.edges}
+    for v in layer2:
+        assignment[_key(x, v)] = 1
+    for u in layer1:
+        for w in layer3:
+            assignment[_key(u, w)] = 1
+    return _verified(h, assignment, 2, "diam3_n2_big")
 
 
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
@@ -303,10 +283,8 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
             return DispatchResult("colored", _color_complement_diam_ge4(g, lv))
         if lv.diameter == 3:
             ana = _analyze_diam3(g, lv)
-            triangle_free = g.triangle_free
-            if triangle_free or ana.case in (CASE_ALL_ONES, CASE_N2_ONE_N3_BIG):
-                built = _color_complement_diam3(g, lv, ana, triangle_free)
-                return DispatchResult("colored", built, analysis=ana)
+            if ana.case == CASE_N2_ONE or g.triangle_free:
+                return DispatchResult("colored", _color_complement_diam3(g, ana), analysis=ana)
             return DispatchResult("lower_bound", analysis=ana,
                                   reason="diameter 3 with triangles: pc of the complement "
                                          "may be large; reporting the layer lower bound")

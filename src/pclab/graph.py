@@ -100,8 +100,8 @@ class Graph:
 class LayeredView:
     """The far root x of a connected graph with its distance layers.
 
-    x is the least vertex whose eccentricity is the diameter; ``layers`` holds
-    N0(x)..N3(x) plus one bucket for distance >= 4.
+    ``layered_view`` takes x as the least vertex whose eccentricity is the
+    diameter; ``layers`` holds N0(x)..N3(x) plus one bucket for distance >= 4.
     """
 
     root: int
@@ -233,14 +233,17 @@ def layered_view(g: Graph) -> LayeredView:
     dist = max((bfs_distances(g, v) for v in range(g.n)), key=max)
     if -1 in dist:
         raise PreconditionError("diameter and layers are undefined on a disconnected graph")
+    return _view(dist)
+
+
+def _view(dist: Sequence[int]) -> LayeredView:
+    """The view from the root of ``dist``, the distances of a connected graph
+    from a vertex whose eccentricity is the diameter."""
     buckets: list[list[int]] = [[], [], [], [], []]
     for v, d in enumerate(dist):
         buckets[min(d, 4)].append(v)
-    return LayeredView(
-        root=dist.index(0),
-        layers=tuple(tuple(b) for b in buckets),
-        diameter=max(dist),
-    )
+    return LayeredView(root=dist.index(0), layers=tuple(map(tuple, buckets)),
+                       diameter=max(dist))
 
 
 def bridge_profile(g: Graph) -> BridgeProfile:

@@ -12,6 +12,16 @@ the color matrix the pass keeps up to date, and the public checker verifies
 every certificate the search returns.  A refutation visits every canonical
 assignment; a budget cutoff is reported as "unknown", never silently coerced
 into an answer.
+
+Tests hold the search to the bridge-piece identity.  The pieces of G are the
+components of G minus its bridges; P+ is a piece P plus one pendant edge for
+each bridge at P.  Then pc(G) = max over the pieces P of pc(P+).  A simple
+path crosses each piece at most once, entering and leaving by bridges, so a
+certificate of G, each pendant edge colored as its bridge, certifies each P+.
+Conversely, k-color each P+ and walk the tree of pieces down from a root
+piece: each bridge takes the color of its pendant edge in the piece above, and
+the piece below permutes its colors to match it there.  Every pendant edge
+then has its bridge's color, so proper paths of the P+ join into those of G.
 """
 from __future__ import annotations
 

@@ -133,11 +133,11 @@ class TestColorComplement:
         assert "colors 2" in out
 
     def test_p4_certificate_is_pinned(self, capsys):
-        # Ch is the 4-path, and so is its complement: the upper bound colors
-        # that path 1, 2, 1 from its end 1
+        # Ch is the 4-path 0-1-2-3, and its complement is the path 2-0-3-1:
+        # {0, 1} against {3} colors 0-3 with 1 and the other two edges with 2
         code, out, _ = run_cli("color-complement", "Ch", capsys=capsys)
-        assert code == 0 and kv(out)["branch"] == "diam3_all_ones"
-        assert out[out.index("colors "):] == "colors 2\nedge 0 2 1\nedge 0 3 2\nedge 1 3 1\n"
+        assert code == 0 and kv(out)["branch"] == "diam3_n2_one"
+        assert out[out.index("colors "):] == "colors 2\nedge 0 2 2\nedge 0 3 1\nedge 1 3 2\n"
 
     def test_method_precondition_exit(self, capsys):
         code, _, err = run_cli("color-complement", graph6_encode(path_graph(3)),

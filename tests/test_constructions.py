@@ -21,19 +21,16 @@ from pclab import (
     diameter,
     exact_pc,
     generate,
+    graph6_decode,
     graph6_encode,
     is_connected,
     is_proper_connected,
     pc_upper_bound,
+    relabel,
     structure_flags,
 )
 from pclab import graph
-from pclab.constructions import (
-    CASE_ALL_ONES,
-    CASE_N1_BIG_REST_ONE,
-    CASE_N2_BIG,
-    CASE_N2_ONE_N3_BIG,
-)
+from pclab.constructions import CASE_N2_BIG, CASE_N2_ONE
 from pclab.generators import (
     complete_graph,
     complete_multipartite,
@@ -98,38 +95,60 @@ class TestDiamGe4:
 
 
 class TestDiam3Analysis:
-    def test_p4_all_ones(self):
+    def test_p4_n2_one(self):
         ana = analyze_diam3(path_graph(4))
-        assert (ana.n1, ana.n2, ana.n3) == (1, 1, 1)
-        assert ana.case == CASE_ALL_ONES and ana.lower_bound is None
+        assert ana.layers == ((0,), (1,), (2,), (3,))
+        assert ana.case == CASE_N2_ONE and ana.lower_bound == 2
 
     def test_double_star_3_3(self):
         ana = analyze_diam3(double_star(3, 3))
-        assert (ana.n1, ana.n2, ana.n3) == (1, 2, 2)
+        assert tuple(map(len, ana.layers)) == (1, 1, 2, 2)
         assert ana.case == CASE_N2_BIG
 
-    def test_n1_big_case(self):
-        # root 0 sees two middle-free neighbors, then single vertices at 2 and 3
+    def test_lone_far_vertex_becomes_the_root(self):
+        # from 0: N1 = {1, 2}, then the single vertices 3 and 4; from 4 the
+        # middle is {1, 2}
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
         ana = analyze_diam3(g)
-        assert (ana.n1, ana.n2, ana.n3) == (2, 1, 1)
-        assert ana.case == CASE_N1_BIG_REST_ONE
-        assert ana.n1_prime == 2 and ana.lower_bound == 2
+        assert ana.layers == ((4,), (3,), (1, 2), (0,))
+        assert ana.case == CASE_N2_BIG and ana.lower_bound == 2
+        built = color_complement_diam3_trianglefree(g)
+        assert built.branch == "diam3_n2_big" and built.coloring.k == 2
+
+    def test_false_pendant_bound_is_gone(self):
+        # counting the 3 N1 vertices with no N1 neighbor would claim pc >= 3,
+        # but the complement GB\|Fw has pc 2
+        g = graph6_decode("G{aAwC")
+        result = auto_pc2_complement(g)
+        assert result.outcome == "lower_bound"
+        assert result.analysis.lower_bound <= 2 == exact_pc(complement(g)).value
 
     def test_lower_bound_cases_found_in_census(self):
-        # graphs where the reported layer bound is >= 2, confirmed by the solver
-        found = 0
-        for n in range(4, 7):
+        # every far root of every diameter-3 class at n <= 7, moved to vertex 0
+        # so that layered_view picks it: a coloring verifies with 2 colors, and
+        # a reported bound is at most exact pc of the complement
+        roots, bounds = 0, 0
+        for n in range(4, 8):
             for g in enumerate_connected(n):
                 if diameter(g) != 3:
                     continue
-                ana = analyze_diam3(g)
-                if ana.lower_bound is not None and ana.lower_bound >= 2:
-                    h = complement(g)
-                    assert is_connected(h)  # diameter >= 3 forces this
-                    assert exact_pc(h).value >= ana.lower_bound
-                    found += 1
-        assert found >= 3
+                pc_h = exact_pc(complement(g)).value
+                for y in range(n):
+                    if max(graph.bfs_distances(g, y)) != 3:
+                        continue
+                    swap = list(range(n))
+                    swap[0], swap[y] = y, 0
+                    gy = relabel(g, swap)
+                    result = auto_pc2_complement(gy)
+                    assert result.analysis.lower_bound <= pc_h, (graph6_encode(g), y)
+                    if result.outcome == "colored":
+                        assert result.construction.coloring.k <= 2
+                        assert is_proper_connected(complement(gy), result.construction.coloring)
+                    else:
+                        assert result.outcome == "lower_bound"
+                        bounds += 1
+                    roots += 1
+        assert roots == 1364 and bounds > 0
 
     def test_rejects_wrong_diameter(self):
         with pytest.raises(PreconditionError):
@@ -139,7 +158,7 @@ class TestDiam3Analysis:
 class TestDiam3Coloring:
     def test_p4(self):
         built = color_complement_diam3_trianglefree(path_graph(4))
-        assert built.branch == "diam3_all_ones"
+        assert built.branch == "diam3_n2_one"
         assert is_proper_connected(complement(path_graph(4)), built.coloring)
         assert exact_pc(complement(path_graph(4))).value == 2
 
@@ -163,9 +182,9 @@ class TestDiam3Coloring:
         # spanning-bipartite construction applies even with triangles
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)])
         assert not structure_flags(g).triangle_free
-        assert analyze_diam3(g).case == CASE_N2_ONE_N3_BIG
+        assert analyze_diam3(g).case == CASE_N2_ONE
         built = color_complement_diam3_trianglefree(g)
-        assert built.branch == "diam3_n2_one_n3_big" and built.coloring.k == 2
+        assert built.branch == "diam3_n2_one" and built.coloring.k == 2
         assert is_proper_connected(complement(g), built.coloring)
 
     def test_triangles_with_big_middle_rejected(self):
@@ -174,7 +193,7 @@ class TestDiam3Coloring:
         for g in enumerate_connected(6):
             if diameter(g) != 3 or structure_flags(g).triangle_free:
                 continue
-            if analyze_diam3(g).case not in (CASE_N2_BIG, CASE_N1_BIG_REST_ONE):
+            if analyze_diam3(g).case != CASE_N2_BIG:
                 continue
             with pytest.raises(PreconditionError):
                 color_complement_diam3_trianglefree(g)
@@ -248,8 +267,6 @@ class TestClassification:
     def test_witness_is_isomorphism(self):
         import random as _random
 
-        from pclab import relabel
-
         rng = _random.Random(331)
         for g0 in (star_plus_edge(5), cycle_graph(4), double_star(2, 4)):
             perm = list(range(g0.n))
@@ -321,16 +338,16 @@ class TestAutoDispatcher:
     def test_spanning_bipartite_branches_cover_every_shape(self):
         # every class at n <= 7: the connected ones, and the disconnected ones
         # as the complements of connected classes
-        seen = {"multipartite": 0, "diam3_n2_one_n3_big": 0}
+        seen = {"multipartite": 0, "diam3_n2_one": 0}
         for n in range(2, 8):
             for c in enumerate_connected(n):
                 h = complement(c)
                 for g in [c] if is_connected(h) else [c, h]:
                     sizes = sorted(map(len, components(g)))
                     if len(sizes) == 1:
-                        if diameter(g) != 3 or analyze_diam3(g).case != CASE_N2_ONE_N3_BIG:
+                        if diameter(g) != 3 or analyze_diam3(g).case != CASE_N2_ONE:
                             continue
-                        branch = "diam3_n2_one_n3_big"
+                        branch = "diam3_n2_one"
                     elif complement(g).complete or sizes[:2] == [1, n - 1]:
                         continue
                     else:

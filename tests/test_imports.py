@@ -132,9 +132,9 @@ def solver_imports(module: str) -> set[str]:
 
 
 def test_constructions_never_search():
-    # a construction colors literally; only the upper bound's certificate is
-    # borrowed from the solver, so none can fall back on a search
-    assert solver_imports("constructions") == {"pc_upper_bound"}
+    # a construction colors literally and imports nothing from the solver, so
+    # none can fall back on a search
+    assert solver_imports("constructions") == set()
 
 
 def test_enumerator_labels_through_imported_name():

@@ -31,7 +31,7 @@ from pclab.generators import (
 )
 
 from pclab import solver
-from pclab.graph import bfs_distances
+from pclab.graph import bfs_distances, bridge_profile, components, induced_subgraph
 from pclab.solver import hamiltonian_path
 
 from conftest import brute_pc, hamiltonian_path_dp, random_connected_graph, random_tree
@@ -375,6 +375,29 @@ class TestStrongVariant:
         for g in (cycle_graph(5), complete_multipartite(2, 2, 2)):
             for k in range(1, exact_pc(g).value):
                 assert exists_k_coloring(g, k, require_strong=True) is None
+
+
+def pieces_plus(g: Graph) -> list[Graph]:
+    """P+ for each piece P of g, a component of g minus its bridges: P plus
+    one pendant edge for each bridge at P."""
+    bridges = bridge_profile(g).bridges
+    out = []
+    for piece in components(Graph.from_edges(g.n, set(g.edges) - set(bridges))):
+        inner, idx = induced_subgraph(g, piece)
+        ports = [idx[v] for e in bridges for v in e if v in idx]
+        pendants = [(u, inner.n + i) for i, u in enumerate(ports)]
+        out.append(Graph.from_edges(inner.n + len(ports), inner.edges + tuple(pendants)))
+    return out
+
+
+def test_bridge_piece_identity():
+    # pc(G) is the largest pc(P+) over the pieces P (solver module docstring)
+    classes = 0
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            assert exact_pc(g).value == max(exact_pc(p).value for p in pieces_plus(g)), g
+            classes += 1
+    assert classes == 995
 
 
 def _random_connected_spanning_subgraph(g: Graph, rng: random.Random) -> Graph:
