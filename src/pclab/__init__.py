@@ -29,7 +29,7 @@ from .graph import (
     relabel,
     structure_flags,
 )
-from .graph6 import graph6_decode, graph6_encode, iter_graph6, read_graph6_file
+from .graph6 import graph6_decode, graph6_encode
 from .generators import (
     FamilySpec,
     complete_graph,
@@ -46,13 +46,11 @@ from .generators import (
 from .coloring import (
     ConnectivityCheck,
     EdgeColoring,
-    PathCheck,
     check_tree_witness,
     endpoint_color_pairs,
     format_coloring,
     has_strong_property,
     is_proper_connected,
-    is_proper_path,
     parse_coloring,
 )
 from .solver import (

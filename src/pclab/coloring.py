@@ -23,8 +23,8 @@ DEFAULT_PATH_BUDGET = 10**6
 class EdgeColoring:
     """Total assignment of colors 1..k to the edges of a host graph.
 
-    ``k`` may exceed the number of colors actually used; ``normalized()``
-    shrinks it.  Keys are edge tuples (u,v) with u < v.
+    ``k`` may exceed the number of colors actually used.  Keys are edge tuples
+    (u,v) with u < v.
     """
 
     k: int
@@ -54,25 +54,6 @@ class EdgeColoring:
 
     def color(self, u: int, v: int) -> int:
         return self.assignment[(u, v) if u < v else (v, u)]
-
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.assignment.values())
-
-    def normalized(self) -> "EdgeColoring":
-        """Renumber the used colors to 1..t (ascending by original value)."""
-        used = sorted(set(self.assignment.values()))
-        remap = {c: i + 1 for i, c in enumerate(used)}
-        return EdgeColoring(len(used), {e: remap[c] for e, c in self.assignment.items()})
-
-
-@dataclass(frozen=True)
-class PathCheck:
-    ok: bool
-    reason: Optional[str] = None  # too_short | repeated_vertex | missing_edge | color_clash
-    index: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -119,31 +100,6 @@ class _View:
             col[u][v] = col[v][u] = rank[c]
         view.orig = (0, *orig)
         return view
-
-
-def is_proper_path(g: Graph, coloring: EdgeColoring, sequence: Iterable[int]) -> PathCheck:
-    """Check one vertex sequence: simple path with no consecutive color repeat."""
-    vs = tuple(sequence)
-    if len(vs) < 2:
-        return PathCheck(False, "too_short")
-    seen = set()
-    for i, v in enumerate(vs):
-        if v in seen:
-            return PathCheck(False, "repeated_vertex", i)
-        seen.add(v)
-    prev = 0
-    for i in range(len(vs) - 1):
-        u, v = vs[i], vs[i + 1]
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            return PathCheck(False, "missing_edge", i)
-        try:
-            c = coloring.color(u, v)
-        except KeyError:
-            raise ColoringFormatError(f"edge ({u},{v}) is uncolored") from None
-        if i and c == prev:
-            return PathCheck(False, "color_clash", i)
-        prev = c
-    return PathCheck(True)
 
 
 def _back_reach(view: _View, target: int) -> list[int]:

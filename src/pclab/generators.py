@@ -18,7 +18,7 @@ FAMILY_TAGS = (
     "complete_multipartite",
 )
 
-#: built-in enumeration stops here; larger corpora come from graph6 files
+#: built-in enumeration stops here
 MAX_ENUMERATION_N = 8
 
 
@@ -177,7 +177,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs.
 
     Deterministic order (sorted by canonical code).  Supported for
-    1 <= n <= 8; larger corpora should be read from graph6 files.
+    1 <= n <= 8.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise UnsupportedSizeError(

@@ -108,13 +108,6 @@ class LayeredView:
     layers: tuple[tuple[int, ...], ...]
     diameter: int
 
-    def layer_sizes(self) -> tuple[int, ...]:
-        """Bucket sizes with trailing empty buckets trimmed."""
-        sizes = [len(layer) for layer in self.layers]
-        while sizes and sizes[-1] == 0:
-            sizes.pop()
-        return tuple(sizes)
-
 
 @dataclass(frozen=True)
 class BridgeProfile:

@@ -1,13 +1,10 @@
-"""Bit-exact graph6 codec for n <= 62, plus line-oriented file helpers.
+"""Bit-exact graph6 codec for n <= 62.
 
 Format: one size byte (n + 63), then the upper-triangle adjacency bits in
 column-major order ((0,1),(0,2),(1,2),(0,3),...), six bits per byte, each
 byte offset by 63, zero-padded to a byte boundary.
 """
 from __future__ import annotations
-
-import os
-from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, UnsupportedSizeError
 from .graph import Graph
@@ -73,19 +70,3 @@ def graph6_decode(text: str) -> Graph:
             bit += 1
     return Graph(n, tuple(masks))
 
-
-def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode graph6 lines, skipping blanks and '#' comments."""
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            yield graph6_decode(stripped)
-        except (GraphFormatError, UnsupportedSizeError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-
-
-def read_graph6_file(path: str | os.PathLike) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as handle:
-        return list(iter_graph6(handle))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import (EdgeColoring, _unjoined_pair, _View, check_tree_witness,
-                       has_strong_property, is_proper_connected)
+                       is_proper_connected)
 from .errors import BudgetExceededError, PreconditionError
 from .graph import Graph, _bits, _layers, bridge_profile, is_connected
 
@@ -222,26 +222,27 @@ class _Clock:
                 f"time budget exceeded during {stage}", stage=stage, stats=stats)
 
 
-def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
-              stats: SolverStats, clock: _Clock) -> Optional[EdgeColoring]:
+def _search_k(g: Graph, k: int, budget: SolverBudget, stats: SolverStats,
+              clock: _Clock) -> Optional[EdgeColoring]:
     """A verified k-coloring, or None after exhausting the canonical space.
 
     If vx and vy are bridges, every x-y path uses them one after the other, so
-    they need distinct colors: this prunes and loses no solution.  Without the
-    strong property, leaves are checked on one view whose color matrix follows
-    the current branch; canonical assignments use the colors 1..top, so each
-    color is its own rank.  The pair that rejected one leaf is tried first at
-    the next, and a leaf that passes is checked again by the public checker.
+    they need distinct colors: this prunes and loses no solution.  Leaves are
+    checked on one view whose color matrix follows the current branch;
+    canonical assignments use the colors 1..top, so each color is its own
+    rank.  The pair that rejected one leaf is tried first at the next, and a
+    leaf that passes is checked again by the public checker.
     """
     m = g.m
     if m == 0:
         return EdgeColoring(0, {})
-    stage = f"k={k}" + ("+strong" if require_strong else "")
+    stage = f"k={k}"
     clock.check(stage, stats)
     bridges = bridge_profile(g).bridges
     nb = len(bridges)
     order = bridges + tuple(sorted(set(g.edges).difference(bridges)))
-    rng = random.Random(f"{budget.seed}:{k}:{require_strong}")
+    # the census work pins and solve9 digests were recorded with this exact key
+    rng = random.Random(f"{budget.seed}:{k}:False")
     at = [0] * g.n  # bit c: a bridge at this vertex has color c on the current branch
     colors = [0] * m  # 0: uncolored
     top = [0] * (m + 1)  # top[i]: the highest color among the first i edges
@@ -282,11 +283,6 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
         if stats.assignments > budget.max_assignments:
             raise BudgetExceededError(
                 f"assignment budget exceeded during {stage}", stage=stage, stats=stats)
-        if require_strong:
-            coloring = EdgeColoring(k, dict(zip(order, colors)))
-            if has_strong_property(g, coloring):
-                return coloring
-            continue
         failed = _unjoined_pair(view, failed)
         if failed is None:
             coloring = EdgeColoring(k, dict(zip(order, colors)))
@@ -297,10 +293,9 @@ def _search_k(g: Graph, k: int, require_strong: bool, budget: SolverBudget,
     return None
 
 
-def exists_k_coloring(g: Graph, k: int, require_strong: bool = False,
-                      budget: SolverBudget | None = None,
+def exists_k_coloring(g: Graph, k: int, budget: SolverBudget | None = None,
                       stats: SolverStats | None = None) -> Optional[EdgeColoring]:
-    """A verified proper-connecting k-coloring (strong if asked), or None if refuted.
+    """A verified proper-connecting k-coloring, or None if refuted.
 
     Raises BudgetExceededError when the search is cut off: that outcome is
     "unknown", distinct from the None refutation.
@@ -311,7 +306,7 @@ def exists_k_coloring(g: Graph, k: int, require_strong: bool = False,
         raise ValueError(f"k must be >= 1, got {k}")
     budget = budget or DEFAULT_BUDGET
     stats = stats if stats is not None else SolverStats()
-    return _search_k(g, k, require_strong, budget, stats, _Clock(budget.max_seconds))
+    return _search_k(g, k, budget, stats, _Clock(budget.max_seconds))
 
 
 def exact_pc(g: Graph, budget: SolverBudget | None = None) -> PcResult:
@@ -343,7 +338,7 @@ def exact_pc(g: Graph, budget: SolverBudget | None = None) -> PcResult:
         exhausted = True
         for k in range(lower.value, upper.value):
             try:
-                found = _search_k(g, k, False, budget, stats, clock)
+                found = _search_k(g, k, budget, stats, clock)
             except BudgetExceededError:
                 exhausted = False  # value is only an upper bound now
                 break

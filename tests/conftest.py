@@ -84,6 +84,16 @@ def proper_path_oracle(g: Graph, coloring, s: int, t: int):
     return tuple(path)
 
 
+def is_proper_path(g: Graph, coloring, path) -> bool:
+    """Is ``path`` a simple path of g with no color repeated on consecutive edges?"""
+    if len(path) < 2 or len(set(path)) < len(path):
+        return False
+    if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
+        return False
+    cs = [coloring.color(a, b) for a, b in zip(path, path[1:])]
+    return all(c != d for c, d in zip(cs, cs[1:]))
+
+
 def naive_proper_connected(g: Graph, coloring) -> bool:
     return all(naive_proper_paths(g, coloring, u, v)
                for u in range(g.n) for v in range(u + 1, g.n))
@@ -100,6 +110,74 @@ def brute_pc(g: Graph) -> int:
             if naive_proper_connected(g, EdgeColoring.from_sequence(g, colors, k)):
                 return k
     raise AssertionError("every connected graph has pc <= m")
+
+
+def brute_strong(g: Graph, k: int):
+    """The first of all k^m colorings with the strong property, or None."""
+    from pclab import EdgeColoring, has_strong_property
+
+    for colors in itertools.product(range(1, k + 1), repeat=g.m):
+        coloring = EdgeColoring.from_sequence(g, colors, k)
+        if has_strong_property(g, coloring):
+            return coloring
+    return None
+
+
+def ear_coloring(g: Graph):
+    """A 2-coloring of a 2-connected bipartite graph with the strong property,
+    built ear by ear (Borozan et al., Proper connection of graphs, Discrete
+    Math. 312, 2012).
+
+    The first ear is a cycle: an edge u-v plus a shortest v-u path in g minus
+    that edge.  Each later step takes the first uncolored edge a-b with a
+    covered.  If b is covered too, a-b is a chord and gets color 1.  Otherwise
+    the ear runs a, b, then a shortest path from b that avoids a to the nearest
+    other covered vertex; it exists because g minus a is connected.  Every ear
+    is colored 1, 2, 1, ... from its first edge.
+
+    Why it is strong.  In a bipartite graph all x-y paths have the same length
+    parity.  A proper 2-colored path alternates, so its end color follows from
+    its start color.  Hence the strong property holds exactly when every pair
+    has proper paths that start with each color.  An alternating even cycle
+    has it: the two arcs between x and y leave x by different colors.  Now let
+    H have it and add an ear P from u to v (u != v), colored alternately.
+    - An interior vertex x and a vertex w of H: leave x each way along P, then
+      go on in H by a path that starts with the color P did not use at that end
+      (stop at that end if it is w).
+    - Two interior vertices x and y, x nearer u on P: one path runs along P.
+      The other leaves x toward u, crosses H from u to v starting with the
+      color P did not use at u, and runs back along P from v to y.  Its color
+      changes at v, because P plus the crossing is an even cycle: going round
+      it the color changes an even number of times at an even number of
+      junctions, and it changes at every junction but possibly the one at v.
+    - A chord only adds paths.
+    """
+    from pclab import EdgeColoring
+
+    G = to_nx(g)
+    u, v = g.edges[0]
+    cycle = [u] + nx.shortest_path(nx.restricted_view(G, [], [(u, v)]), v, u)
+    covered = set(cycle)
+    colors = {}
+
+    def paint(ear):
+        for i, (a, b) in enumerate(zip(ear, ear[1:])):
+            colors[(a, b) if a < b else (b, a)] = 1 + i % 2
+
+    paint(cycle)
+    while len(colors) < g.m:
+        a, b = next(e for e in g.edges if e not in colors and covered.intersection(e))
+        if a not in covered:
+            a, b = b, a
+        if b in covered:
+            colors[(a, b) if a < b else (b, a)] = 1
+            continue
+        # the nearest covered vertex other than a, reached from b without a
+        _, rest = nx.multi_source_dijkstra(nx.restricted_view(G, [a], []),
+                                           covered - {a}, target=b)
+        paint([a] + rest[::-1])
+        covered.update(rest)
+    return EdgeColoring(2, colors)
 
 
 def hamiltonian_path_dp(g: Graph):

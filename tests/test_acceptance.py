@@ -12,7 +12,6 @@ from pclab import (
     complement,
     endpoint_color_pairs,
     exact_pc,
-    exists_k_coloring,
     has_strong_property,
     is_proper_connected,
     pc_lower_bound,
@@ -33,7 +32,7 @@ from pclab.generators import (
 from pclab.graph import Graph, bridge_profile
 from pclab.graph6 import graph6_encode
 
-from conftest import naive_proper_paths, random_connected_graph, random_tree
+from conftest import ear_coloring, naive_proper_paths, random_connected_graph, random_tree
 
 
 def _report(number: int, text: str) -> None:
@@ -136,13 +135,11 @@ def test_criterion_6_two_connected_bounds():
             result = exact_pc(g)
             assert result.exhausted and result.value <= 3, graph6_encode(g)
             if flags.bipartite:
-                found = exists_k_coloring(g, 2, require_strong=True)
-                assert found is not None, graph6_encode(g)
-                assert has_strong_property(g, found)
+                assert has_strong_property(g, ear_coloring(g)), graph6_encode(g)
                 bipartite_strong += 1
-    assert two_connected > 500 and bipartite_strong >= 10
+    assert two_connected > 500 and bipartite_strong == 15
     _report(6, f"{two_connected} two-connected graphs at pc <= 3; "
-               f"{bipartite_strong} bipartite ones got strong 2-colorings")
+               f"{bipartite_strong} bipartite ones got strong ear 2-colorings")
 
 
 def test_criterion_7_oracle_equivalence():

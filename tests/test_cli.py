@@ -20,8 +20,9 @@ from pclab import (
 )
 import pclab.cli
 from pclab.cli import main
-from pclab.generators import double_star, path_graph, star_graph
-from pclab.solver import exists_k_coloring
+from pclab.generators import cycle_graph, double_star, path_graph, star_graph
+
+from conftest import ear_coloring
 
 
 def run_cli(*argv, capsys=None):
@@ -75,15 +76,23 @@ class TestVerify:
         assert kv(out)["witness"] == "1,2"
 
     def test_strong_check(self, capsys, tmp_path):
-        from pclab.generators import cycle_graph
-
         g = cycle_graph(4)
-        found = exists_k_coloring(g, 2, require_strong=True)
         cert = tmp_path / "strong.txt"
-        cert.write_text(format_coloring(found, g))
+        cert.write_text(format_coloring(ear_coloring(g), g))
         code, out, _ = run_cli("verify", graph6_encode(g), "--coloring", str(cert),
                                "--strong", capsys=capsys)
         assert code == 0 and kv(out)["ok"] == "true"
+
+    def test_proper_connected_but_not_strong(self, capsys, tmp_path):
+        # P3 colored 1, 2 joins every pair, but its ends have one path only
+        cert = tmp_path / "p3.txt"
+        cert.write_text("colors 2\nedge 0 1 1\nedge 1 2 2\n")
+        g6 = graph6_encode(path_graph(3))
+        code, out, _ = run_cli("verify", g6, "--coloring", str(cert), capsys=capsys)
+        assert code == 0 and kv(out)["ok"] == "true"
+        code, out, _ = run_cli("verify", g6, "--coloring", str(cert), "--strong",
+                               capsys=capsys)
+        assert code == 1 and kv(out)["ok"] == "false"
 
     def test_malformed_coloring_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

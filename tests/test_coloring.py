@@ -1,6 +1,7 @@
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +17,14 @@ from pclab import (
     format_coloring,
     has_strong_property,
     is_proper_connected,
-    is_proper_path,
     parse_coloring,
 )
 from pclab.coloring import _unjoined_pair, _View
 from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
                               star_graph)
 
-from conftest import (naive_proper_paths, proper_path_oracle, random_connected_graph,
-                      random_tree)
+from conftest import (ear_coloring, is_proper_path, naive_proper_paths, proper_path_oracle,
+                      random_connected_graph, random_tree, to_nx)
 
 
 def colored(g, *colors):
@@ -35,36 +35,6 @@ def _least_unjoined(g, joined):
     """The least pair u < v of non-adjacent vertices that ``joined`` rejects, or None."""
     return next(((u, v) for u in range(g.n) for v in range(u + 1, g.n)
                  if not g.has_edge(u, v) and not joined(u, v)), None)
-
-
-class TestIsProperPath:
-    def test_alternating_p3(self):
-        g = path_graph(3)
-        assert is_proper_path(g, colored(g, 1, 2), [0, 1, 2])
-
-    def test_clash_reports_index(self):
-        g = path_graph(3)
-        check = is_proper_path(g, colored(g, 1, 1), [0, 1, 2])
-        assert not check and check.reason == "color_clash" and check.index == 1
-
-    def test_single_edge_always_proper(self):
-        g = path_graph(2)
-        assert is_proper_path(g, colored(g, 1), [0, 1])
-        assert is_proper_path(g, colored(g, 1), [1, 0])
-
-    def test_missing_edge(self):
-        g = path_graph(3)
-        check = is_proper_path(g, colored(g, 1, 2), [0, 2])
-        assert not check and check.reason == "missing_edge" and check.index == 0
-
-    def test_repeated_vertex(self):
-        g = cycle_graph(4)
-        check = is_proper_path(g, colored(g, 1, 2, 1, 2), [0, 1, 2, 1])
-        assert not check and check.reason == "repeated_vertex" and check.index == 3
-
-    def test_too_short(self):
-        g = path_graph(2)
-        assert is_proper_path(g, colored(g, 1), [0]).reason == "too_short"
 
 
 class TestFindProperPath:
@@ -202,8 +172,8 @@ class TestDeclaredColorCount:
         assignment = {e: i % 2 + 1 for i, e in enumerate(g.edges)}
         assignment[g.edges[3]] = big
         coloring = EdgeColoring(big, assignment)
-        small = coloring.normalized()
         back = {1: 1, 2: 2, 3: big}
+        small = EdgeColoring(3, {e: 3 if c == big else c for e, c in assignment.items()})
         start = time.perf_counter()
         assert is_proper_connected(g, coloring) == is_proper_connected(g, small)
         for u in range(g.n):
@@ -281,6 +251,22 @@ class TestStrongProperty:
     def test_rainbow_triangle(self):
         g = complete_graph(3)
         assert has_strong_property(g, EdgeColoring.from_sequence(g, [1, 2, 3]))
+
+    def test_ear_coloring_on_random_two_connected_bipartite(self):
+        # past the classes criterion 6 covers: 9 to 12 vertices, random sides
+        rng = random.Random(61)
+        done = 0
+        while done < 100:
+            n = rng.randint(9, 12)
+            side = [rng.random() < 0.5 for _ in range(n)]
+            p = rng.uniform(0.3, 0.7)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if side[u] != side[v] and rng.random() < p])
+            if not nx.is_biconnected(to_nx(g)):
+                continue
+            coloring = ear_coloring(g)
+            assert coloring.k == 2 and has_strong_property(g, coloring)
+            done += 1
 
     def test_strong_implies_proper_connected(self):
         rng = random.Random(41)
@@ -441,11 +427,6 @@ class TestColoringType:
     def test_rejects_unsorted_key(self):
         with pytest.raises(ColoringFormatError):
             EdgeColoring(2, {(1, 0): 1})
-
-    def test_normalized_shrinks_k(self):
-        c = EdgeColoring(9, {(0, 1): 4, (1, 2): 7})
-        norm = c.normalized()
-        assert norm.k == 2 and norm.assignment == {(0, 1): 1, (1, 2): 2}
 
     def test_wrong_edge_count_detected(self):
         g = path_graph(3)

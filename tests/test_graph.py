@@ -97,17 +97,17 @@ class TestComplement:
 class TestLayeredView:
     def test_path_end(self):
         lv = layered_view(path_graph(5))
-        assert lv.root == 0 and lv.layer_sizes() == (1, 1, 1, 1, 1)
+        assert lv.root == 0 and [len(layer) for layer in lv.layers] == [1, 1, 1, 1, 1]
         assert lv.diameter == 4
 
     def test_cycle(self):
         lv = layered_view(cycle_graph(5))
-        assert lv.root == 0 and lv.layer_sizes() == (1, 2, 2)
+        assert lv.root == 0 and [len(layer) for layer in lv.layers] == [1, 2, 2, 0, 0]
         assert lv.diameter == 2
 
     def test_star_far_root_is_a_leaf(self):
         lv = layered_view(star_graph(5))
-        assert lv.root == 1 and lv.layer_sizes() == (1, 1, 3)
+        assert lv.root == 1 and [len(layer) for layer in lv.layers] == [1, 1, 3, 0, 0]
         assert lv.diameter == 2
 
     def test_far_bucket_collects_distance_ge_4(self):

@@ -11,8 +11,6 @@ from pclab import (
     UnsupportedSizeError,
     graph6_decode,
     graph6_encode,
-    iter_graph6,
-    read_graph6_file,
 )
 from pclab.generators import complete_graph, path_graph
 
@@ -109,15 +107,3 @@ class TestErrors:
             graph6_decode(text)
         except (GraphFormatError, UnsupportedSizeError):
             pass
-
-
-def test_file_iteration_with_comments(tmp_path):
-    path = tmp_path / "graphs.g6"
-    path.write_text("# comment line\nC~\n\nCh\n")
-    got = read_graph6_file(path)
-    assert [g.m for g in got] == [6, 3]
-
-
-def test_file_iteration_reports_line(tmp_path):
-    with pytest.raises(GraphFormatError, match="line 2"):
-        list(iter_graph6(["C~", "C"]))

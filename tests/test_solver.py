@@ -13,7 +13,6 @@ from pclab import (
     exact_pc,
     exists_k_coloring,
     graph6_decode,
-    has_strong_property,
     is_proper_connected,
     pc_lower_bound,
     pc_upper_bound,
@@ -34,7 +33,8 @@ from pclab import solver
 from pclab.graph import bfs_distances, bridge_profile, components, induced_subgraph
 from pclab.solver import hamiltonian_path
 
-from conftest import brute_pc, hamiltonian_path_dp, random_connected_graph, random_tree
+from conftest import (brute_pc, brute_strong, hamiltonian_path_dp, random_connected_graph,
+                      random_tree)
 
 
 def spider() -> Graph:
@@ -199,10 +199,6 @@ class TestTraceableBound:
 
 
 class TestExistsKColoring:
-    def test_c4_strong_two(self):
-        found = exists_k_coloring(cycle_graph(4), 2, require_strong=True)
-        assert found is not None and has_strong_property(cycle_graph(4), found)
-
     def test_claw_refutes_two(self):
         # the claw's three bridges meet at the center: no two of them may share
         # a color, so k=2 dies before any complete assignment
@@ -354,27 +350,27 @@ class TestExactPc:
 
 
 class TestStrongVariant:
+    """Strong colorings found or refuted by trying every coloring."""
+
     def test_bridge_makes_strong_impossible(self):
         # the ends of a bridge have one path between them
         for k in (1, 2, 3):
-            assert exists_k_coloring(path_graph(4), k, require_strong=True) is None
+            assert brute_strong(path_graph(4), k) is None
 
     def test_triangle_strong_three(self):
         g = complete_graph(3)
         # two colors cannot split both endpoints
-        assert exists_k_coloring(g, 2, require_strong=True) is None
-        found = exists_k_coloring(g, 3, require_strong=True)
-        assert found is not None and has_strong_property(g, found)
+        assert brute_strong(g, 2) is None
+        assert brute_strong(g, 3) is not None
 
     def test_bowtie_strong_exists(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        found = exists_k_coloring(g, 3, require_strong=True)
-        assert found is not None and has_strong_property(g, found)
+        assert brute_strong(g, 3) is not None
 
     def test_strong_at_least_pc(self):
         for g in (cycle_graph(5), complete_multipartite(2, 2, 2)):
             for k in range(1, exact_pc(g).value):
-                assert exists_k_coloring(g, k, require_strong=True) is None
+                assert brute_strong(g, k) is None
 
 
 def pieces_plus(g: Graph) -> list[Graph]:
