@@ -11,20 +11,14 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import __version__
-from .constructions import (
-    classify_pc_n_minus_2,
-    color_complement_diam2_trianglefree,
-    color_complement_diam3_trianglefree,
-    color_complement_diam_ge4,
-    color_complement_with_trivial_component,
-)
-from .errors import BudgetExceededError, ConstructionError, UnsupportedSizeError
+from .constructions import THEOREMS, classify_pc_n_minus_2, is_double_star_2
+from .errors import ConstructionError, PreconditionError, UnsupportedSizeError
 from .generators import enumerate_connected
-from .graph import Graph, complement, diameter, is_connected
+from .graph import Graph, complement, is_connected
 from .graph6 import graph6_encode
 from .solver import DEFAULT_BUDGET, SolverBudget, exact_pc
 
-SWEEP_CHECKS = ("thm31", "thm33", "thm36", "prop37", "thm38")
+SWEEP_CHECKS = (*THEOREMS, "thm38")
 CENSUS_CHECKS = ("histogram", "thm41", "ng") + SWEEP_CHECKS
 
 
@@ -114,8 +108,7 @@ def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
         g6 = graph6_encode(g)
         report.ng_pairs.append({"graph6": g6, "pc": rg.value,
                                 "pc_complement": rh.value, "sum": total})
-        # a tree on n vertices with maximum degree n - 2 is the double star S(2, n - 2)
-        involved = any(x.m == n - 1 and x.max_degree == n - 2 for x in (g, h))
+        involved = any(is_double_star_2(x) for x in (g, h))
         if n == 4:
             if total != 4:
                 report.violations.append(f"{g6}: sum {total} != 4 at n=4")
@@ -137,7 +130,12 @@ def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
 
 def run_construction_sweep(n: int, check: str,
                            budget: SolverBudget | None = None) -> CensusReport:
-    """Verify one family of constructions over every qualifying census graph."""
+    """Verify one family of constructions over every qualifying census graph.
+
+    A graph qualifies for a theorem of ``THEOREMS`` when its construction
+    accepts it, and for thm38 when it is not complete and its complement is
+    triangle-free.
+    """
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep {check!r}; expected one of {SWEEP_CHECKS}")
     if check == "thm38":
@@ -153,46 +151,26 @@ def run_construction_sweep(n: int, check: str,
         graphs = enumerate_connected(n)
     for g in graphs:
         report.total_graphs += 1
-        try:
-            if check == "thm31":
-                if diameter(g) < 4:
-                    continue
-                report.qualifying += 1
-                built = color_complement_diam_ge4(g)
-            elif check == "thm33":
-                if not g.triangle_free or diameter(g) != 3:
-                    continue
-                report.qualifying += 1
-                built = color_complement_diam3_trianglefree(g)
-            elif check == "thm36":
-                if (not g.triangle_free or g.complete or diameter(g) != 2
-                        or not is_connected(complement(g))):
-                    continue
-                report.qualifying += 1
-                built = color_complement_diam2_trianglefree(g)
-            elif check == "prop37":
-                if not g.triangle_free:
-                    continue
-                report.qualifying += 1
-                built = color_complement_with_trivial_component(g)
-            else:  # thm38: triangle-free complement forces pc(g) = 2
-                if g.complete or not complement(g).triangle_free:
-                    continue
-                report.qualifying += 1
-                result = exact_pc(g, budget=budget)
-                if not result.exhausted:
-                    report.mark_cutoff(g)
-                elif result.value != 2:
-                    report.violations.append(f"{graph6_encode(g)}: pc {result.value} != 2")
+        if check == "thm38":  # triangle-free complement forces pc(g) = 2
+            if g.complete or not complement(g).triangle_free:
                 continue
-        except BudgetExceededError:
-            report.mark_cutoff(g)
+            report.qualifying += 1
+            result = exact_pc(g, budget=budget)
+            if not result.exhausted:
+                report.mark_cutoff(g)
+            elif result.value != 2:
+                report.violations.append(f"{graph6_encode(g)}: pc {result.value} != 2")
+            continue
+        try:
+            k = THEOREMS[check](g).coloring.k
+            problem = f"used {k} colors" if k > 2 else None
+        except PreconditionError:  # outside the theorem's hypothesis
             continue
         except ConstructionError as exc:
-            report.violations.append(f"{graph6_encode(g)}: {exc}")
-            continue
-        if built.coloring.k > 2:
-            report.violations.append(f"{graph6_encode(g)}: used {built.coloring.k} colors")
+            problem = str(exc)
+        report.qualifying += 1
+        if problem:
+            report.violations.append(f"{graph6_encode(g)}: {problem}")
     report.work = {"graphs": report.total_graphs}
     return report
 

@@ -14,13 +14,7 @@ import sys
 
 from .census import CENSUS_CHECKS, emit_report, run_construction_sweep, run_ng_census, run_pc_census
 from .coloring import format_coloring, has_strong_property, is_proper_connected, parse_coloring
-from .constructions import (
-    auto_pc2_complement,
-    color_complement_diam2_trianglefree,
-    color_complement_diam3_trianglefree,
-    color_complement_diam_ge4,
-    color_complement_with_trivial_component,
-)
+from .constructions import THEOREMS, auto_pc2_complement
 from .errors import (
     BudgetExceededError,
     ColoringFormatError,
@@ -40,13 +34,7 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-METHODS = {
-    "auto": None,
-    "thm31": color_complement_diam_ge4,
-    "thm33": color_complement_diam3_trianglefree,
-    "thm36": color_complement_diam2_trianglefree,
-    "prop37": color_complement_with_trivial_component,
-}
+METHODS = {"auto": None, **THEOREMS}
 
 
 def _budget_from(args) -> SolverBudget:

@@ -4,12 +4,14 @@ Each construction colors the complement of its input literally with two
 colors and re-verifies the certificate before returning it; extra complement
 edges outside the spanning structure a proof colors get color 2, which cannot
 break any certified path.  No construction searches: a literal coloring that
-fails verification raises ConstructionError.
+fails verification raises ConstructionError.  Each theorem's construction
+raises PreconditionError exactly outside its hypothesis, so ``THEOREMS`` is
+also what the census sweeps select by.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring, is_proper_connected
 from .errors import ConstructionError, PreconditionError
@@ -147,17 +149,15 @@ def _analyze_diam3(g: Graph, lv: LayeredView) -> Diam3Analysis:
 
 
 def color_complement_diam3_trianglefree(g: Graph) -> Construction:
-    """2-coloring of the complement at diameter 3.
+    """2-coloring of the complement of a triangle-free diameter-3 graph.
 
-    The ``n2_one`` shape needs no triangle-freeness; ``n2_big`` does.  Every
-    coloring is literal and re-verified; one that fails raises
-    ConstructionError.
+    The ``n2_one`` shape with triangles is colored too, but only by
+    ``auto_pc2_complement``: this function takes Thm 3.3's hypothesis as it
+    stands.
     """
-    ana = analyze_diam3(g)
-    if ana.case == CASE_N2_BIG and not g.triangle_free:
-        raise PreconditionError(
-            "this layer shape needs a triangle-free input (pc of the complement may be large)")
-    return _color_complement_diam3(g, ana)
+    if not g.triangle_free:
+        raise PreconditionError("input must be triangle-free")
+    return _color_complement_diam3(g, analyze_diam3(g))
 
 
 def _color_complement_diam3(g: Graph, ana: Diam3Analysis) -> Construction:
@@ -178,9 +178,9 @@ def _color_complement_diam3(g: Graph, ana: Diam3Analysis) -> Construction:
 
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement of a triangle-free diameter-2 graph."""
-    lv = layered_view(g)
     if not g.triangle_free:
         raise PreconditionError("input must be triangle-free")
+    lv = layered_view(g)
     if lv.diameter != 2:
         raise PreconditionError("input must have diameter 2")
     h = complement(g)
@@ -197,11 +197,11 @@ def color_complement_diam2_trianglefree(g: Graph) -> Construction:
 
 def color_complement_with_trivial_component(g: Graph) -> Construction:
     """2-coloring of the complement when g = K_1 plus one triangle-free component."""
+    if not g.triangle_free:
+        raise PreconditionError("input must be triangle-free")
     comps = components(g)
     if len(comps) != 2 or min(len(c) for c in comps) != 1:
         raise PreconditionError("input must have exactly two components, one trivial")
-    if not g.triangle_free:
-        raise PreconditionError("input must be triangle-free")
     solo = min(comps, key=len)[0]
     rest = [c for c in comps if len(c) > 1 or c[0] != solo][0]
     h = complement(g)
@@ -232,21 +232,58 @@ def color_complement_with_trivial_component(g: Graph) -> Construction:
     return _verified(h, assignment, 2, "trivial_component_cliques")
 
 
+#: the paper's complement theorems by name: each construction raises
+#: PreconditionError exactly when its input is outside the theorem's hypothesis
+THEOREMS: dict[str, Callable[[Graph], Construction]] = {
+    "thm31": color_complement_diam_ge4,  # diameter >= 4
+    "thm33": color_complement_diam3_trianglefree,  # triangle-free, diameter 3
+    "thm36": color_complement_diam2_trianglefree,  # triangle-free, diameter 2, H connected
+    "prop37": color_complement_with_trivial_component,  # K_1 plus a triangle-free component
+}
+
+
+def is_double_star_2(g: Graph) -> bool:
+    """Whether the connected graph g is S(2, n - 2): a tree of maximum degree n - 2.
+
+    The vertex of degree n - 2 misses one other vertex, which hangs from one
+    of its neighbors; that neighbor is the center of degree 2.
+    """
+    return g.m == g.n - 1 and g.max_degree == g.n - 2
+
+
+def _double_star_witness(g: Graph) -> tuple[int, ...]:
+    """The map of g = S(2, n - 2), n >= 6, onto ``double_star(2, n - 2)``.
+
+    The degree-2 center goes to 0, the degree-(n - 2) center to 1, the leaf at
+    the degree-2 center to 2 and the other leaves to 3..n-1 in vertex order.
+    """
+    big = max(range(g.n), key=g.degree)
+    small = next(v for v in g.neighbors(big) if g.degree(v) == 2)
+    leaf = next(v for v in g.neighbors(small) if v != big)
+    witness = [0] * g.n
+    witness[small], witness[big], witness[leaf] = 0, 1, 2
+    rest = (v for v in range(g.n) if v not in (small, big, leaf))
+    for i, v in enumerate(rest, 3):
+        witness[v] = i
+    return tuple(witness)
+
+
 def classify_pc_n_minus_2(g: Graph) -> ClassificationVerdict:
     """Membership in the six-graph family whose pc equals n-2, with a witness."""
     if not is_connected(g) or g.n < 3:
         raise PreconditionError("classification applies to connected graphs on >= 3 vertices")
     n = g.n
-    candidates: list[FamilySpec] = []
-    if n == 3:
-        candidates.append(FamilySpec("cycle", (3,)))
-    if n == 4:
-        candidates += [FamilySpec("double_star", (2, 2)), FamilySpec("cycle", (4,)),
-                       FamilySpec("cycle4_plus_e"), FamilySpec("star_plus_e", (4,))]
-    if n == 5:
-        candidates += [FamilySpec("double_star", (2, 3)), FamilySpec("star_plus_e", (5,))]
-    if n >= 6:
-        candidates.append(FamilySpec("double_star", (2, n - 2)))
+    if n >= 6:  # the family's one member here is S(2, n - 2)
+        if not is_double_star_2(g):
+            return ClassificationVerdict(False, None, None)
+        return ClassificationVerdict(True, FamilySpec("double_star", (2, n - 2)),
+                                     _double_star_witness(g))
+    candidates = {
+        3: [FamilySpec("cycle", (3,))],
+        4: [FamilySpec("double_star", (2, 2)), FamilySpec("cycle", (4,)),
+            FamilySpec("cycle4_plus_e"), FamilySpec("star_plus_e", (4,))],
+        5: [FamilySpec("double_star", (2, 3)), FamilySpec("star_plus_e", (5,))],
+    }[n]
     code_g, perm_g = None, None
     for spec in candidates:
         instance = generate(spec)

@@ -68,7 +68,7 @@ class LowerBound:
 @dataclass(frozen=True)
 class UpperBound:
     value: int
-    tag: str  # traceable | spanning_tree_delta | star_exact
+    tag: str  # traceable | spanning_tree_delta
     certificate: EdgeColoring
     tree: Graph  # the spanning tree of g the certificate colors properly
 
@@ -178,10 +178,6 @@ def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _is_star(g: Graph) -> bool:
-    return g.m == g.n - 1 and g.max_degree == g.n - 1 and g.n >= 3
-
-
 def pc_upper_bound(g: Graph) -> UpperBound:
     """pc(g) <= pc(T) = max degree of T for a spanning tree T, with its certificate.
 
@@ -200,8 +196,7 @@ def pc_upper_bound(g: Graph) -> UpperBound:
         root, tag = path[0], "traceable"
     else:
         trees = (_bfs_tree(g, root) for root in range(g.n))
-        tree, root = min(trees, key=lambda t: t.max_degree), 0
-        tag = "star_exact" if _is_star(g) else "spanning_tree_delta"
+        tree, root, tag = min(trees, key=lambda t: t.max_degree), 0, "spanning_tree_delta"
     assignment = dict.fromkeys(g.edges, 1)
     assignment.update(_tree_coloring(tree, root))
     cert = EdgeColoring(tree.max_degree, assignment)

@@ -93,12 +93,17 @@ def test_criterion_3_construction_sweeps_to_n8():
     """Every construction certificate at n <= 8 verifies with <= 2 colors."""
     ranges = {"thm31": range(5, 9), "thm36": range(4, 9),
               "thm33": range(4, 9), "prop37": range(3, 9)}
+    # (total_graphs, qualifying) at n = 8: each theorem's hypothesis selects these
+    selected_at_8 = {"thm31": (11117, 1165), "thm33": (11117, 118),
+                     "thm36": (11117, 6), "prop37": (853, 59)}
     total = 0
     for check, ns in ranges.items():
         for n in ns:
             report = run_construction_sweep(n, check)
             assert report.violations == [], (check, n, report.violations[:3])
             assert report.complete
+            if n == 8:
+                assert (report.total_graphs, report.qualifying) == selected_at_8[check]
             total += report.qualifying
     assert total > 1300  # the diameter >= 4 sweep alone exceeds a thousand
     _report(3, f"construction sweeps verified on {total} qualifying graphs, "

@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-import pclab.census
 import pclab.constructions
 import pclab.graph
 from pclab import (
-    BudgetExceededError,
     ConnectivityCheck,
     SolverBudget,
     UnsupportedSizeError,
@@ -155,18 +153,6 @@ class TestSweeps:
         structure_flags(cycle_graph(4))
         bridge_profile(path_graph(3))
         assert len(calls) == 4 + 2
-
-    @pytest.mark.parametrize("check,construction", [
-        ("thm31", "color_complement_diam_ge4"),
-        ("prop37", "color_complement_with_trivial_component")])
-    def test_budget_cutoff_is_reported(self, check, construction, monkeypatch):
-        def cut(g):
-            raise BudgetExceededError("cut")
-
-        monkeypatch.setattr(pclab.census, construction, cut)
-        report = run_construction_sweep(5, check)
-        assert report.qualifying > 0 and not report.complete and not report.passed
-        assert len(report.violations) == report.qualifying
 
     def test_failed_construction_is_a_violation(self, monkeypatch):
         monkeypatch.setattr(pclab.constructions, "is_proper_connected",

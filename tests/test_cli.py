@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pclab import (
     ConnectivityCheck,
+    Graph,
     GraphFormatError,
     UnsupportedSizeError,
     exact_pc,
@@ -153,10 +154,17 @@ class TestColorComplement:
                                "--method", "thm31", capsys=capsys)
         assert code == 3 and "precondition" in err
 
+    def test_thm33_needs_triangle_free_input(self, capsys):
+        # diameter 3 with one middle vertex and a triangle: outside Thm 3.3's
+        # hypothesis, though the dispatcher colors it
+        g6 = graph6_encode(Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)]))
+        code, _, err = run_cli("color-complement", g6, "--method", "thm33", capsys=capsys)
+        assert code == 3 and "precondition" in err
+        code, out, _ = run_cli("color-complement", g6, "--method", "auto", capsys=capsys)
+        assert code == 0 and kv(out)["branch"] == "diam3_n2_one"
+
     def test_no_construction_exits_one(self, capsys):
         # diameter 2 with triangles: the dispatcher has nothing to offer
-        from pclab import Graph
-
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         code, out, _ = run_cli("color-complement", graph6_encode(g), capsys=capsys)
         assert code == 1

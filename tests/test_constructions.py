@@ -4,9 +4,11 @@ import pytest
 
 import pclab.constructions
 from pclab import (
+    ClassificationVerdict,
     ConnectivityCheck,
     ConstructionError,
     EdgeColoring,
+    FamilySpec,
     Graph,
     PreconditionError,
     analyze_diam3,
@@ -179,13 +181,18 @@ class TestDiam3Coloring:
 
     def test_singleton_middle_without_triangle_freeness(self):
         # triangle at the near side, single middle vertex, big far side: the
-        # spanning-bipartite construction applies even with triangles
+        # spanning-bipartite coloring applies even with triangles, but only
+        # the dispatcher uses it; Thm 3.3's construction keeps its hypothesis
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)])
-        assert not structure_flags(g).triangle_free
+        assert not g.triangle_free
         assert analyze_diam3(g).case == CASE_N2_ONE
-        built = color_complement_diam3_trianglefree(g)
+        result = auto_pc2_complement(g)
+        built = result.construction
+        assert result.outcome == "colored" and result.analysis.case == CASE_N2_ONE
         assert built.branch == "diam3_n2_one" and built.coloring.k == 2
         assert is_proper_connected(complement(g), built.coloring)
+        with pytest.raises(PreconditionError, match="triangle-free"):
+            color_complement_diam3_trianglefree(g)
 
     def test_triangles_with_big_middle_rejected(self):
         # diameter 3, triangles, many-vertex layers: the construction must refuse
@@ -277,6 +284,24 @@ class TestClassification:
             instance = generate(verdict.family)
             for u, v in g.edges:
                 assert instance.has_edge(verdict.witness[u], verdict.witness[v])
+
+    @pytest.mark.parametrize("n", [11, 30])
+    def test_double_star_past_the_labeling_cap(self, n):
+        # S(2, n - 2) is recognized as a tree of maximum degree n - 2, with no
+        # canonical labeling, so orders past its n <= 10 cap classify too
+        g0 = double_star(2, n - 2)
+        assert classify_pc_n_minus_2(g0).witness == tuple(range(n))
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        g = relabel(g0, perm)
+        verdict = classify_pc_n_minus_2(g)
+        assert verdict.matches and verdict.family == FamilySpec("double_star", (2, n - 2))
+        assert sorted(verdict.witness) == list(range(n))
+        assert all(g0.has_edge(verdict.witness[u], verdict.witness[v]) for u, v in g.edges)
+
+    @pytest.mark.parametrize("g", [path_graph(11), double_star(3, 8)])
+    def test_other_trees_past_the_labeling_cap(self, g):
+        assert classify_pc_n_minus_2(g) == ClassificationVerdict(False, None, None)
 
     def test_equivalence_with_exact_pc_small(self):
         for n in range(3, 7):

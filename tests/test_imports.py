@@ -5,8 +5,9 @@ a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
 outlive the code that used them, private module-level names that outlive
 their last caller, a second BFS frontier loop beside ``graph._layers``, a
-construction that reaches for the solver's search, and an enumerator that no
-longer labels through the one name the benchmark hooks.
+construction that reaches for the solver's search, a census that tests a
+theorem's hypothesis itself instead of asking the construction, and an
+enumerator that no longer labels through the one name the benchmark hooks.
 """
 import ast
 from collections import Counter
@@ -135,6 +136,17 @@ def test_constructions_never_search():
     # a construction colors literally and imports nothing from the solver, so
     # none can fall back on a search
     assert solver_imports("constructions") == set()
+
+
+def test_census_selects_by_the_theorems_table():
+    # each hypothesis is written once, as its construction's PreconditionError;
+    # a census that imports a construction or diameter can grow a second copy
+    path = Path(pclab.__file__).parent / "census.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not {name for name in imported
+                if name.startswith("color_complement_") or name == "diameter"}
 
 
 def test_enumerator_labels_through_imported_name():

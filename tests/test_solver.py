@@ -81,8 +81,10 @@ class TestBounds:
         assert pc_upper_bound(cycle_graph(6)).value == 2
 
     def test_star_upper_exact(self):
+        # a tree's spanning-tree bound is exact: the bridges at its center meet it
         ub = pc_upper_bound(star_graph(6))
-        assert ub.value == 5 and ub.tag == "star_exact"
+        assert ub.value == 5 and ub.tag == "spanning_tree_delta"
+        assert pc_lower_bound(star_graph(6)).value == ub.value
 
     def test_upper_certificate_verifies(self):
         rng = random.Random(83)
@@ -125,7 +127,7 @@ class TestBounds:
         for n in range(2, 8):
             for g in enumerate_connected(n):
                 ub = pc_upper_bound(g)
-                assert ub.tag in ("traceable", "spanning_tree_delta", "star_exact")
+                assert ub.tag in ("traceable", "spanning_tree_delta")
                 path = hamiltonian_path(g) if n >= 3 else None
                 if path is None:
                     assert ub.tree == least_degree_bfs_tree(g)
