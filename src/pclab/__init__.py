@@ -16,7 +16,6 @@ from .graph import (
     Graph,
     LayeredView,
     StructureFlags,
-    are_isomorphic,
     bridge_profile,
     canonical_code,
     canonical_form,

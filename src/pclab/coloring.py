@@ -280,7 +280,7 @@ def has_strong_property(g: Graph, coloring: EdgeColoring,
 # --- coloring file format ---------------------------------------------------
 #
 #   # optional comments
-#   colors <k>
+#   colors <k>              k = 0 only for a graph with no edges
 #   edge <u> <v> <c>        one line per edge, 0-indexed vertices, 1 <= c <= k
 
 
@@ -298,8 +298,8 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
             if len(tokens) != 2:
                 raise ColoringFormatError(f"line {lineno}: expected 'colors <k>'")
             k = _parse_int(tokens[1], lineno)
-            if k < 1:
-                raise ColoringFormatError(f"line {lineno}: k must be >= 1")
+            if k < 0:
+                raise ColoringFormatError(f"line {lineno}: k must be >= 0")
         elif tokens[0] == "edge":
             if k is None:
                 raise ColoringFormatError(f"line {lineno}: 'colors' line must come first")

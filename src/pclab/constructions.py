@@ -1,12 +1,15 @@
 """Constructive colorings of complements driven by diameter and triangle-freeness.
 
-Each construction colors the complement of its input literally with two
-colors and re-verifies the certificate before returning it; extra complement
-edges outside the spanning structure a proof colors get color 2, which cannot
-break any certified path.  No construction searches: a literal coloring that
-fails verification raises ConstructionError.  Each theorem's construction
-raises PreconditionError exactly outside its hypothesis, so ``THEOREMS`` is
-also what the census sweeps select by.
+Each construction colors the complement of its input literally and
+re-verifies the certificate before returning it.  The layered colorings of
+Thms 3.1, 3.3 and 3.6 and the spanning complete bipartite ones share one side
+rule, ``_color_sides``: two pairs of vertex sets, taken from G's far-root
+layers or from the two sides, get color 1 on the complement edges between the
+sets of a pair; every other edge gets color 2, which cannot break any
+certified path.  No construction searches: a literal coloring that fails
+verification raises ConstructionError.  Each theorem's construction raises
+PreconditionError exactly outside its hypothesis, so ``THEOREMS`` is also what
+the census sweeps select by.
 """
 from __future__ import annotations
 
@@ -93,23 +96,26 @@ def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _color_spanning_bipartite(h: Graph, side_a: Sequence[int], side_b: Sequence[int],
-                              branch: str) -> Construction:
-    """2-coloring of h when h spans a complete bipartite graph on side_a, side_b.
+def _color_sides(h: Graph, lead_a: Sequence[int], rest_a: Sequence[int],
+                 lead_b: Sequence[int], rest_b: Sequence[int], branch: str) -> Construction:
+    """2-coloring of h: color 1 on its lead_a-lead_b and rest_a-rest_b edges, 2 elsewhere.
 
-    An edge a-b gets color 1 exactly when both or neither of a and b lead their
-    side (index 0); every other edge of h gets color 2.  With both sides of size
+    The layered callers take the four sets from G's far-root layers as the
+    paper's proofs do.  The others rest on pc(K_{m,n}) = 2 (Borozan et al.):
+    h spans the complete bipartite graph between A = lead_a + rest_a and
+    B = lead_b + rest_b, each lead a single vertex.  With both sides of size
     >= 2, each pair is joined by a path alternating between the sides, such as
-    a_i-b_j-a_0-b_0-a_k colored 1, 2, 1, 2, and a vertex joined to side_a[0] by
-    a color-2 edge goes on along side_a[0]-side_b[0], which has color 1.  With
-    sides of 2 and 1 on the 4-path's complement, the path c-a_0-b_0-a_1 through
-    the fourth vertex c is colored 2, 1, 2.
+    a_i-b_j-a_0-b_0-a_k colored 1, 2, 1, 2, and a vertex joined to a_0 by a
+    color-2 edge goes on along a_0-b_0, which has color 1.  With sides of 2 and
+    1 on the 4-path's complement, the path c-a_0-b_0-a_1 through the fourth
+    vertex c is colored 2, 1, 2.
     """
-    assignment = {e: 2 for e in h.edges}
-    for i, a in enumerate(side_a):
-        for j, b in enumerate(side_b):
-            if (i == 0) == (j == 0):
-                assignment[_key(a, b)] = 1
+    assignment = dict.fromkeys(h.edges, 2)
+    for side_a, side_b in ((lead_a, lead_b), (rest_a, rest_b)):
+        for a in side_a:
+            for b in side_b:
+                if h.has_edge(a, b):
+                    assignment[_key(a, b)] = 1
     return _verified(h, assignment, 2, branch)
 
 
@@ -121,16 +127,9 @@ def color_complement_diam_ge4(g: Graph) -> Construction:
 def _color_complement_diam_ge4(g: Graph, lv: LayeredView) -> Construction:
     if lv.diameter < 4:
         raise PreconditionError(f"diameter must be >= 4, got {lv.diameter}")
-    x = lv.root
-    n1, n3, n4 = lv.layers[1], lv.layers[3], lv.layers[4]
-    h = complement(g)
-    assignment = {e: 2 for e in h.edges}
-    for u in n3:
-        assignment[_key(x, u)] = 1
-    for u in n1:
-        for v in n4:
-            assignment[_key(u, v)] = 1
-    return _verified(h, assignment, 2, "diam_ge4")
+    root, layer1, _, layer3, layer4 = lv.layers[:5]
+    # Thm 3.1: x-N3 and N1-N4 get color 1
+    return _color_sides(complement(g), root, layer1, layer3, layer4, "diam_ge4")
 
 
 def analyze_diam3(g: Graph) -> Diam3Analysis:
@@ -162,18 +161,13 @@ def color_complement_diam3_trianglefree(g: Graph) -> Construction:
 
 def _color_complement_diam3(g: Graph, ana: Diam3Analysis) -> Construction:
     h = complement(g)
-    (x,), layer1, layer2, layer3 = ana.layers
+    root, layer1, layer2, layer3 = ana.layers
     if ana.case == CASE_N2_ONE:
-        # {x} u N1 against N3 spans the complement; the middle vertex's edges
-        # keep color 2 and go on from x along x-N3[0]
-        return _color_spanning_bipartite(h, (x,) + layer1, layer3, "diam3_n2_one")
-    assignment = {e: 2 for e in h.edges}
-    for v in layer2:
-        assignment[_key(x, v)] = 1
-    for u in layer1:
-        for w in layer3:
-            assignment[_key(u, w)] = 1
-    return _verified(h, assignment, 2, "diam3_n2_big")
+        # {x} u N1 against N3 spans the complement (Borozan et al.'s K_{m,n});
+        # the middle vertex's edges keep color 2 and go on from x along x-N3[0]
+        return _color_sides(h, root, layer1, layer3[:1], layer3[1:], "diam3_n2_one")
+    # Thm 3.3: x-N2 and N1-N3 get color 1
+    return _color_sides(h, root, layer1, layer2, layer3, "diam3_n2_big")
 
 
 def color_complement_diam2_trianglefree(g: Graph) -> Construction:
@@ -186,13 +180,8 @@ def color_complement_diam2_trianglefree(g: Graph) -> Construction:
     h = complement(g)
     if not is_connected(h):
         raise PreconditionError("complement must be connected")
-    x = lv.root
-    layer1 = set(lv.layers[1])
-    assignment = {}
-    for u, v in h.edges:
-        cross = (u in layer1) != (v in layer1) and x not in (u, v)
-        assignment[(u, v)] = 1 if cross else 2
-    return _verified(h, assignment, 2, "diam2_triangle_free")
+    # Thm 3.6: the complement edges between N1 and N2 get color 1, all of x's get 2
+    return _color_sides(h, (), lv.layers[1], (), lv.layers[2], "diam2_triangle_free")
 
 
 def color_complement_with_trivial_component(g: Graph) -> Construction:
@@ -339,7 +328,9 @@ def auto_pc2_complement(g: Graph) -> DispatchResult:
         return DispatchResult("no_construction",
                               reason="two components with triangles: no 2-coloring available")
     # the largest component has >= 2 vertices (else h is complete), and so do
-    # the other vertices here: h spans the complete bipartite graph between them
+    # the other vertices here: h spans the complete bipartite graph between
+    # them, and pc(K_{m,n}) = 2 (Borozan et al.)
     big = max(comps, key=len)
     rest = [v for v in range(g.n) if v not in big]
-    return DispatchResult("colored", _color_spanning_bipartite(h, big, rest, "multipartite"))
+    built = _color_sides(h, big[:1], big[1:], rest[:1], rest[1:], "multipartite")
+    return DispatchResult("colored", built)

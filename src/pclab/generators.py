@@ -2,21 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .errors import UnsupportedSizeError
 from .graph import Graph, _bits, _is_cut_vertex, _min_placement, canonical_graph
-
-FAMILY_TAGS = (
-    "path",
-    "cycle",
-    "star",
-    "star_plus_e",
-    "cycle4_plus_e",
-    "double_star",
-    "complete",
-    "complete_multipartite",
-)
 
 #: built-in enumeration stops here
 MAX_ENUMERATION_N = 8
@@ -88,35 +77,28 @@ def complete_multipartite(*sizes: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+#: tag -> (builder, parameter count); None lets the builder check the count
+_FAMILIES: dict[str, tuple[Callable[..., Graph], Optional[int]]] = {
+    "path": (path_graph, 1),
+    "cycle": (cycle_graph, 1),
+    "star": (star_graph, 1),
+    "star_plus_e": (star_plus_edge, 1),
+    "cycle4_plus_e": (cycle4_plus_edge, 0),
+    "double_star": (double_star, 2),
+    "complete": (complete_graph, 1),
+    "complete_multipartite": (complete_multipartite, None),
+}
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
 def generate(spec: FamilySpec) -> Graph:
     tag, params = spec.tag, spec.params
-    if tag == "path":
-        return path_graph(*_want(params, 1, tag))
-    if tag == "cycle":
-        return cycle_graph(*_want(params, 1, tag))
-    if tag == "star":
-        return star_graph(*_want(params, 1, tag))
-    if tag == "star_plus_e":
-        return star_plus_edge(*_want(params, 1, tag))
-    if tag == "cycle4_plus_e":
-        if params:
-            raise ValueError("cycle4_plus_e takes no parameters")
-        return cycle4_plus_edge()
-    if tag == "double_star":
-        return double_star(*_want(params, 2, tag))
-    if tag == "complete":
-        return complete_graph(*_want(params, 1, tag))
-    if tag == "complete_multipartite":
-        if len(params) < 2:
-            raise ValueError("complete_multipartite needs at least 2 part sizes")
-        return complete_multipartite(*params)
-    raise ValueError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
-
-
-def _want(params: tuple[int, ...], count: int, tag: str) -> tuple[int, ...]:
-    if len(params) != count:
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
+    build, count = _FAMILIES[tag]
+    if count is not None and len(params) != count:
         raise ValueError(f"{tag} takes {count} parameter(s), got {len(params)}")
-    return params
+    return build(*params)
 
 
 # --- enumeration up to isomorphism -----------------------------------------

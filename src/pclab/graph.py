@@ -426,9 +426,3 @@ def canonical_graph(g: Graph, placement: Sequence[int] | None = None) -> Graph:
 def canonical_code(g: Graph) -> tuple[int, ...]:
     """Isomorphism-class code of g; see ``canonical_form``."""
     return canonical_form(g)[0]
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m or g.degree_sequence != h.degree_sequence:
-        return False
-    return canonical_code(g) == canonical_code(h)

@@ -95,6 +95,21 @@ class TestVerify:
                                capsys=capsys)
         assert code == 1 and kv(out)["ok"] == "false"
 
+    def test_one_vertex_certificate_round_trips(self, capsys, tmp_path):
+        # K_1 has no edges, so its certificate reads "colors 0"
+        cert = tmp_path / "cert.txt"
+        code, out, _ = run_cli("pc", "@", "--cert", str(cert), capsys=capsys)
+        assert code == 0 and cert.read_text() == "colors 0\n"
+        code, out, _ = run_cli("verify", "@", "--coloring", str(cert), capsys=capsys)
+        assert code == 0 and kv(out)["ok"] == "true"
+
+    def test_no_colors_for_an_edge_or_negative_k_is_input_error(self, capsys, tmp_path):
+        for g6, text in [("A_", "colors 0\nedge 0 1 1\n"), ("@", "colors -1\n")]:
+            bad = tmp_path / "bad.txt"
+            bad.write_text(text)
+            code, _, err = run_cli("verify", g6, "--coloring", str(bad), capsys=capsys)
+            assert code == 2 and "error" in err, text
+
     def test_malformed_coloring_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("edge 0 1 1\n")

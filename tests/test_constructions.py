@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from pclab import (
     components,
     diameter,
     exact_pc,
+    format_coloring,
     generate,
     graph6_decode,
     graph6_encode,
@@ -32,7 +35,7 @@ from pclab import (
     structure_flags,
 )
 from pclab import graph
-from pclab.constructions import CASE_N2_BIG, CASE_N2_ONE
+from pclab.constructions import CASE_N2_BIG, CASE_N2_ONE, THEOREMS
 from pclab.generators import (
     complete_graph,
     complete_multipartite,
@@ -438,3 +441,64 @@ class TestCensusAgreement:
                 assert value == built.coloring.k == 2
                 checked += 1
         assert checked > 100
+
+
+class TestPinnedCertificates:
+    # a sha256 over every colored outcome, so a refactor of the colorings must
+    # return the very same certificates, not only ones that verify
+    DIGEST = "5a4dfad329039bf018f0a7ad8d627e593da98f0bf9e3dc03559b11bed6ff34fa"
+
+    @staticmethod
+    def inputs():
+        """Connected classes at n <= 7, each disconnected complement, and each
+        class of order <= 6 plus an isolated vertex."""
+        for n in range(1, 8):
+            for c in enumerate_connected(n):
+                yield c
+                h = complement(c)
+                if not is_connected(h):
+                    yield h
+                if n < 7:
+                    yield with_isolated_vertex(c)
+
+    def test_every_certificate_is_pinned(self):
+        sha = hashlib.sha256()
+        auto, theorems = Counter(), Counter()
+
+        def record(g6, h, check, built):
+            sha.update(f"{g6} {check} {built.branch}\n"
+                       f"{format_coloring(built.coloring, h)}".encode())
+
+        for g in self.inputs():
+            g6, h = graph6_encode(g), complement(g)
+            for name, build in THEOREMS.items():
+                try:
+                    built = build(g)
+                except PreconditionError:
+                    continue
+                theorems[name, built.branch] += 1
+                record(g6, h, name, built)
+            try:
+                result = auto_pc2_complement(g)
+            except PreconditionError:
+                auto["precondition"] += 1
+                continue
+            if result.outcome == "colored":
+                auto[result.construction.branch] += 1
+                record(g6, h, "auto", result.construction)
+            else:
+                auto[result.outcome] += 1
+        assert auto == {
+            "complement_complete": 8, "diam2_triangle_free": 5, "diam3_n2_big": 40,
+            "diam3_n2_one": 16, "diam_ge4": 102, "multipartite": 108,
+            "trivial_component_cliques": 18, "trivial_component_join": 42,
+            "lower_bound": 380, "no_construction": 670, "precondition": 6,
+        }
+        assert theorems == {
+            ("thm31", "diam_ge4"): 102,
+            ("thm33", "diam3_n2_big"): 40, ("thm33", "diam3_n2_one"): 1,
+            ("thm36", "diam2_triangle_free"): 5,
+            ("prop37", "trivial_component_cliques"): 18,
+            ("prop37", "trivial_component_join"): 44,
+        }
+        assert sha.hexdigest() == self.DIGEST

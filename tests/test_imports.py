@@ -5,6 +5,7 @@ a cycle shows up as an ImportError at load time instead of being deferred.
 No linter is a dependency, so an ``ast`` walk also keeps out imports that
 outlive the code that used them, private module-level names that outlive
 their last caller, a second BFS frontier loop beside ``graph._layers``, a
+second complement coloring that fills color 2 beside ``_color_sides``, a
 construction that reaches for the solver's search, a census that tests a
 theorem's hypothesis itself instead of asking the construction, and an
 enumerator that no longer labels through the one name the benchmark hooks.
@@ -121,6 +122,41 @@ def frontier_loops():
 def test_one_bfs_frontier_loop():
     # graph._layers is the one BFS; a second loop is a second implementation
     assert frontier_loops() == ["graph"]
+
+
+def default_two_fills():
+    """(module, function) of each assignment that gives every edge of a graph color 2.
+
+    Both spellings count: ``dict.fromkeys(h.edges, 2)`` and
+    ``{e: 2 for e in h.edges}``.  The function is the top-level one around it.
+    """
+    def over_edges(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "edges"
+
+    def two(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in tree.body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                fromkeys = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "fromkeys" and len(node.args) == 2
+                            and over_edges(node.args[0]) and two(node.args[1]))
+                comprehension = (isinstance(node, ast.DictComp) and two(node.value)
+                                 and any(over_edges(gen.iter) for gen in node.generators))
+                if fromkeys or comprehension:
+                    found.append((path.stem, func.name))
+    return found
+
+
+def test_one_side_rule():
+    # constructions._color_sides is the one rule that colors a complement 2
+    # outside chosen pairs of vertex sets; a second fill is a second copy of it
+    assert default_two_fills() == [("constructions", "_color_sides")]
 
 
 def solver_imports(module: str) -> set[str]:
