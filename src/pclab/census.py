@@ -1,7 +1,11 @@
 """Census sweeps: exact pc over every class, complement-sum checks, construction sweeps.
 
-Reports contain only deterministic fields (work counters, not wall-clock), so
-two runs with the same configuration produce byte-identical JSON.
+Each run solves a class at most once: ``_solved`` is the one caller of
+``exact_pc`` and names each cut-off graph once in the report.  The
+complement-sum check reads pc of a complement at its canonical copy, which is
+the enumerated representative.  Reports contain only deterministic fields
+(work counters, not wall-clock), so two runs with the same configuration
+produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -14,12 +18,12 @@ from . import __version__
 from .constructions import THEOREMS, classify_pc_n_minus_2, is_double_star_2
 from .errors import ConstructionError, PreconditionError, UnsupportedSizeError
 from .generators import enumerate_connected
-from .graph import Graph, complement, is_connected
+from .graph import Graph, canonical_graph, complement, is_connected
 from .graph6 import graph6_encode
-from .solver import DEFAULT_BUDGET, SolverBudget, exact_pc
+from .solver import DEFAULT_BUDGET, PcResult, SolverBudget, exact_pc
 
 SWEEP_CHECKS = (*THEOREMS, "thm38")
-CENSUS_CHECKS = ("histogram", "thm41", "ng") + SWEEP_CHECKS
+CENSUS_CHECKS = ("histogram", "ng") + SWEEP_CHECKS
 
 
 @dataclass
@@ -61,29 +65,36 @@ class CensusReport:
         self.violations.append(f"budget exhausted on {graph6_encode(g)}")
 
 
+def _solved(graphs, report: CensusReport,
+            budget: SolverBudget | None) -> dict[Graph, PcResult]:
+    """exact_pc once per graph; a cut-off graph is marked on the report and left out."""
+    table = {}
+    for g in graphs:
+        result = exact_pc(g, budget=budget)
+        if result.exhausted:
+            table[g] = result
+        else:
+            report.mark_cutoff(g)
+    return table
+
+
 def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
     """Exact pc for every connected class; cross-checks the pc = n-2 recognizer."""
     if not 3 <= n <= 7:
         raise UnsupportedSizeError(f"pc census supports 3 <= n <= 7, got {n}")
-    report = CensusReport("pc_census", "histogram", n, 0, 0,
+    graphs = tuple(enumerate_connected(n))
+    report = CensusReport("pc_census", "histogram", n, len(graphs), len(graphs),
                           seed=(budget or DEFAULT_BUDGET).seed)
-    assignments = 0
-    for g in enumerate_connected(n):
-        report.total_graphs += 1
-        report.qualifying += 1
-        result = exact_pc(g, budget=budget)
-        if not result.exhausted:
-            report.mark_cutoff(g)
-            continue
+    solved = _solved(graphs, report, budget)
+    for g, result in solved.items():
         report.pc_histogram[result.value] = report.pc_histogram.get(result.value, 0) + 1
-        assignments += result.stats["assignments"] if result.stats else 0
-        verdict = classify_pc_n_minus_2(g)
         hit = result.value == n - 2
-        if hit != verdict.matches:
+        if hit != classify_pc_n_minus_2(g).matches:
             report.classification_mismatches.append(graph6_encode(g))
         elif hit:
             report.classification_matches.append(graph6_encode(g))
-    report.work = {"graphs": report.total_graphs, "assignments": assignments}
+    report.work = {"graphs": report.total_graphs,
+                   "assignments": sum(r.stats["assignments"] for r in solved.values())}
     return report
 
 
@@ -91,35 +102,26 @@ def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
     """pc(g) + pc(complement) over classes where both sides are connected."""
     if not 4 <= n <= 7:
         raise UnsupportedSizeError(f"complement-sum census supports 4 <= n <= 7, got {n}")
-    report = CensusReport("ng_census", "ng", n, 0, 0,
+    graphs = tuple(enumerate_connected(n))
+    both = [g for g in graphs if is_connected(complement(g))]
+    report = CensusReport("ng_census", "ng", n, len(graphs), len(both),
                           seed=(budget or DEFAULT_BUDGET).seed)
-    for g in enumerate_connected(n):
-        report.total_graphs += 1
+    solved = _solved(both, report, budget)
+    for g, rg in solved.items():
         h = complement(g)
-        if not is_connected(h):
-            continue
-        report.qualifying += 1
-        rg = exact_pc(g, budget=budget)
-        rh = exact_pc(h, budget=budget)
-        if not (rg.exhausted and rh.exhausted):
-            report.mark_cutoff(g)
+        rh = solved.get(canonical_graph(h))
+        if rh is None:  # the complement's class was cut off and names itself
             continue
         total = rg.value + rh.value
         g6 = graph6_encode(g)
         report.ng_pairs.append({"graph6": g6, "pc": rg.value,
                                 "pc_complement": rh.value, "sum": total})
-        involved = any(is_double_star_2(x) for x in (g, h))
-        if n == 4:
-            if total != 4:
-                report.violations.append(f"{g6}: sum {total} != 4 at n=4")
-            continue
         if not 4 <= total <= n:
             report.violations.append(f"{g6}: sum {total} outside 4..{n}")
+        involved = any(is_double_star_2(x) for x in (g, h))
         if (total == n) != involved:
             report.violations.append(
                 f"{g6}: sum {total} vs double-star involvement {involved}")
-        if n == 5 and total not in (4, 5):
-            report.violations.append(f"{g6}: sum {total} outside the n=5 dichotomy")
     if report.ng_pairs:
         report.max_sum = max(p["sum"] for p in report.ng_pairs)
         report.max_sum_witnesses = [p["graph6"] for p in report.ng_pairs
@@ -143,34 +145,30 @@ def run_construction_sweep(n: int, check: str,
             raise UnsupportedSizeError(f"the exact pc sweep needs 2 <= n <= 7, got {n}")
     elif not 2 <= n <= 8:
         raise UnsupportedSizeError(f"construction sweeps support 2 <= n <= 8, got {n}")
-    report = CensusReport("construction_sweep", check, n, 0, 0,
-                          seed=(budget or DEFAULT_BUDGET).seed)
     if check == "prop37":  # K_1 plus one connected class of order n-1
-        graphs = (Graph(n, comp.adj + (0,)) for comp in enumerate_connected(n - 1))
+        graphs = tuple(Graph(n, comp.adj + (0,)) for comp in enumerate_connected(n - 1))
     else:
-        graphs = enumerate_connected(n)
-    for g in graphs:
-        report.total_graphs += 1
-        if check == "thm38":  # triangle-free complement forces pc(g) = 2
-            if g.complete or not complement(g).triangle_free:
-                continue
-            report.qualifying += 1
-            result = exact_pc(g, budget=budget)
-            if not result.exhausted:
-                report.mark_cutoff(g)
-            elif result.value != 2:
+        graphs = tuple(enumerate_connected(n))
+    report = CensusReport("construction_sweep", check, n, len(graphs), 0,
+                          seed=(budget or DEFAULT_BUDGET).seed)
+    if check == "thm38":  # triangle-free complement forces pc(g) = 2
+        chosen = [g for g in graphs if not g.complete and complement(g).triangle_free]
+        report.qualifying = len(chosen)
+        for g, result in _solved(chosen, report, budget).items():
+            if result.value != 2:
                 report.violations.append(f"{graph6_encode(g)}: pc {result.value} != 2")
-            continue
-        try:
-            k = THEOREMS[check](g).coloring.k
-            problem = f"used {k} colors" if k > 2 else None
-        except PreconditionError:  # outside the theorem's hypothesis
-            continue
-        except ConstructionError as exc:
-            problem = str(exc)
-        report.qualifying += 1
-        if problem:
-            report.violations.append(f"{graph6_encode(g)}: {problem}")
+    else:
+        for g in graphs:
+            try:
+                k = THEOREMS[check](g).coloring.k
+                problem = f"used {k} colors" if k > 2 else None
+            except PreconditionError:  # outside the theorem's hypothesis
+                continue
+            except ConstructionError as exc:
+                problem = str(exc)
+            report.qualifying += 1
+            if problem:
+                report.violations.append(f"{graph6_encode(g)}: {problem}")
     report.work = {"graphs": report.total_graphs}
     return report
 

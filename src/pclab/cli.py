@@ -155,7 +155,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_census(args) -> int:
     budget = _budget_from(args)
-    if args.check in ("histogram", "thm41"):
+    if args.check == "histogram":
         report = run_pc_census(args.n, budget=budget)
     elif args.check == "ng":
         report = run_ng_census(args.n, budget=budget)

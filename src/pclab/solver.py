@@ -50,13 +50,9 @@ DEFAULT_BUDGET = SolverBudget()
 @dataclass
 class SolverStats:
     assignments: int = 0
-    elapsed_seconds: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "assignments": self.assignments,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        return {"assignments": self.assignments}
 
 
 @dataclass(frozen=True)
@@ -316,7 +312,6 @@ def exact_pc(g: Graph, budget: SolverBudget | None = None) -> PcResult:
     budget = budget or DEFAULT_BUDGET
     stats = SolverStats()
     clock = _Clock(budget.max_seconds)
-    t0 = time.monotonic()
 
     if g.n == 1:
         return PcResult(0, EdgeColoring(0, {}), True, 0, "trivial", stats.to_json())
@@ -342,5 +337,4 @@ def exact_pc(g: Graph, budget: SolverBudget | None = None) -> PcResult:
                 certificate = found
                 break
 
-    stats.elapsed_seconds = time.monotonic() - t0
     return PcResult(value, certificate, exhausted, lower.value, lower.tag, stats.to_json())

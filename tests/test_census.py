@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import pclab.census
 import pclab.constructions
 import pclab.graph
 from pclab import (
@@ -9,17 +10,32 @@ from pclab import (
     SolverBudget,
     UnsupportedSizeError,
     canonical_code,
+    canonical_graph,
     complement,
     emit_report,
     exact_pc,
     graph6_decode,
     graph6_encode,
+    is_connected,
     run_construction_sweep,
     run_ng_census,
     run_pc_census,
 )
 from pclab.generators import cycle_graph, double_star, enumerate_connected, path_graph
 from pclab.graph import bridge_profile, components, structure_flags
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The graphs a census hands to the solver, in call order."""
+    calls = []
+
+    def counted(g, budget=None):
+        calls.append(g)
+        return exact_pc(g, budget=budget)
+
+    monkeypatch.setattr(pclab.census, "exact_pc", counted)
+    return calls
 
 
 class TestPcCensus:
@@ -41,8 +57,9 @@ class TestPcCensus:
         assert report.passed
 
     def test_out_of_range(self):
-        with pytest.raises(UnsupportedSizeError):
-            run_pc_census(2)
+        for n in (2, 8):
+            with pytest.raises(UnsupportedSizeError):
+                run_pc_census(n)
 
     @pytest.mark.parametrize("n,assignments", [(5, 8), (6, 145), (7, 1974)])
     def test_search_work_is_pinned(self, n, assignments):
@@ -57,8 +74,10 @@ class TestPcCensus:
         report = run_pc_census(5, budget=budget)
         assert cut and not report.complete and not report.passed
         assert report.violations == [f"budget exhausted on {c}" for c in cut]
-        with pytest.raises(UnsupportedSizeError):
-            run_pc_census(8)
+
+    def test_each_class_is_solved_once(self, solves):
+        report = run_pc_census(6)
+        assert len(solves) == len(set(solves)) == report.total_graphs
 
 
 class TestNgCensus:
@@ -99,6 +118,26 @@ class TestNgCensus:
     def test_out_of_range(self):
         with pytest.raises(UnsupportedSizeError):
             run_ng_census(3)
+
+    def test_each_class_is_solved_once(self, solves):
+        # pc of a complement is read from the table, not solved again
+        report = run_ng_census(6)
+        both = {g for g in enumerate_connected(6) if is_connected(complement(g))}
+        assert len(solves) == len(set(solves)) == report.qualifying
+        assert set(solves) == both
+
+    def test_budget_cutoff_names_each_class_once(self):
+        budget = SolverBudget(max_assignments=0)
+        cut = [g for g in enumerate_connected(6) if is_connected(complement(g))
+               and not exact_pc(g, budget=budget).exhausted]
+        report = run_ng_census(6, budget=budget)
+        assert cut and not report.complete and not report.passed
+        assert report.violations == [f"budget exhausted on {graph6_encode(g)}" for g in cut]
+        # a pair with a cut-off side has no sum
+        names = {graph6_encode(g) for g in cut}
+        for pair in report.ng_pairs:
+            g = graph6_decode(pair["graph6"])
+            assert not {pair["graph6"], graph6_encode(canonical_graph(complement(g)))} & names
 
 
 class TestSweeps:

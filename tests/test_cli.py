@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from pclab import (
     ConnectivityCheck,
@@ -21,7 +22,7 @@ from pclab import (
 )
 import pclab.cli
 from pclab.cli import main
-from pclab.generators import cycle_graph, double_star, path_graph, star_graph
+from pclab.generators import cycle_graph, double_star, path_graph, star_graph, star_plus_edge
 
 from conftest import ear_coloring
 
@@ -56,6 +57,12 @@ class TestPc:
         payload = json.loads(out)
         assert payload["value"] == 1 and payload["exhausted"] is True
         assert payload["colors"] == 1
+
+    def test_json_output_is_byte_identical_across_runs(self, capsys):
+        g6 = graph6_encode(star_plus_edge(5))
+        first = run_cli("pc", g6, "--json", capsys=capsys)
+        assert first == run_cli("pc", g6, "--json", capsys=capsys)
+        assert first[0] == 0 and list(json.loads(first[1])["stats"]) == ["assignments"]
 
     def test_certificate_file_round_trips_through_verify(self, capsys, tmp_path):
         g6 = graph6_encode(double_star(2, 3))
@@ -246,9 +253,12 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_thm41_alias(self, capsys):
-        code, out, _ = run_cli("census", "--n", "4", "--check", "thm41", capsys=capsys)
-        assert code == 0 and kv(out)["mismatches"] == "0"
+    def test_thm41_is_not_a_check(self, capsys):
+        # histogram is the one name of the pc census
+        with pytest.raises(SystemExit) as caught:
+            main(["census", "--n", "4", "--check", "thm41"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'thm41'" in capsys.readouterr().err
 
     def test_out_of_range_is_input_error(self, capsys):
         code, _, err = run_cli("census", "--n", "9", "--check", "histogram",

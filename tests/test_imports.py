@@ -7,8 +7,9 @@ outlive the code that used them, private module-level names that outlive
 their last caller, a second BFS frontier loop beside ``graph._layers``, a
 second complement coloring that fills color 2 beside ``_color_sides``, a
 construction that reaches for the solver's search, a census that tests a
-theorem's hypothesis itself instead of asking the construction, and an
-enumerator that no longer labels through the one name the benchmark hooks.
+theorem's hypothesis itself instead of asking the construction, a census
+that solves outside ``census._solved``, and an enumerator that no longer
+labels through the one name the benchmark hooks.
 """
 import ast
 from collections import Counter
@@ -183,6 +184,25 @@ def test_census_selects_by_the_theorems_table():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert not {name for name in imported
                 if name.startswith("color_complement_") or name == "diameter"}
+
+
+def census_solver_sites() -> list[str]:
+    """The top-level definition of census.py around each mention of ``exact_pc``.
+
+    The import of the name is not a mention.
+    """
+    path = Path(pclab.__file__).parent / "census.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [getattr(node, "name", type(node).__name__) for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _mentions(node) if name == "exact_pc"]
+
+
+def test_census_solves_in_one_place():
+    # census._solved calls exact_pc once per class and builds the one table
+    # every census check reads; it is also the call the benchmark's timer
+    # wraps.  A second site could solve a class twice.
+    assert census_solver_sites() == ["_solved"]
 
 
 def test_enumerator_labels_through_imported_name():

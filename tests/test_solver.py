@@ -332,7 +332,8 @@ class TestExactPc:
 
     def test_telemetry(self):
         result = exact_pc(star_plus_edge(5), budget=SolverBudget())
-        assert set(result.stats) == {"assignments", "elapsed_seconds"}
+        # work counters only: wall-clock would make two runs' answers differ
+        assert set(result.stats) == {"assignments"}
         assert result.stats["assignments"] > 0  # k=2 was refuted by enumeration
 
     def test_deterministic(self):
