@@ -1,11 +1,12 @@
 """Census sweeps: exact pc over every class, complement-sum checks, construction sweeps.
 
-Each run solves a class at most once: ``_solved`` is the one caller of
-``exact_pc`` and names each cut-off graph once in the report.  The
-complement-sum check reads pc of a complement at its canonical copy, which is
-the enumerated representative.  Reports contain only deterministic fields
-(work counters, not wall-clock), so two runs with the same configuration
-produce byte-identical JSON.
+Every check runs from the least order at which its claim is meaningful up to
+the enumerator's ``MAX_ENUMERATION_N`` (``_require_order``, the one size
+rule).  Each run solves a class at most once: ``_solved`` is the one caller
+of ``exact_pc`` and names each cut-off graph once in the report.  The
+complement-sum check reads pc of a complement at its canonical copy, the
+enumerated representative.  Reports hold only deterministic fields (work
+counters, not wall-clock), so identical runs give byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 from . import __version__
 from .constructions import THEOREMS, classify_pc_n_minus_2, is_double_star_2
 from .errors import ConstructionError, PreconditionError, UnsupportedSizeError
-from .generators import enumerate_connected
+from .generators import MAX_ENUMERATION_N, enumerate_connected
 from .graph import Graph, canonical_graph, complement, is_connected
 from .graph6 import graph6_encode
 from .solver import DEFAULT_BUDGET, PcResult, SolverBudget, exact_pc
@@ -65,6 +66,12 @@ class CensusReport:
         self.violations.append(f"budget exhausted on {graph6_encode(g)}")
 
 
+def _require_order(check: str, n: int, least: int) -> None:
+    """The one size rule; ``least`` is the least n at which the check's claim is meaningful."""
+    if not least <= n <= MAX_ENUMERATION_N:
+        raise UnsupportedSizeError(f"{check} needs {least} <= n <= {MAX_ENUMERATION_N}, got {n}")
+
+
 def _solved(graphs, report: CensusReport,
             budget: SolverBudget | None) -> dict[Graph, PcResult]:
     """exact_pc once per graph; a cut-off graph is marked on the report and left out."""
@@ -80,8 +87,7 @@ def _solved(graphs, report: CensusReport,
 
 def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
     """Exact pc for every connected class; cross-checks the pc = n-2 recognizer."""
-    if not 3 <= n <= 7:
-        raise UnsupportedSizeError(f"pc census supports 3 <= n <= 7, got {n}")
+    _require_order("histogram", n, 3)  # the pc = n-2 recognizer needs n >= 3
     graphs = tuple(enumerate_connected(n))
     report = CensusReport("pc_census", "histogram", n, len(graphs), len(graphs),
                           seed=(budget or DEFAULT_BUDGET).seed)
@@ -100,8 +106,7 @@ def run_pc_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
 
 def run_ng_census(n: int, budget: SolverBudget | None = None) -> CensusReport:
     """pc(g) + pc(complement) over classes where both sides are connected."""
-    if not 4 <= n <= 7:
-        raise UnsupportedSizeError(f"complement-sum census supports 4 <= n <= 7, got {n}")
+    _require_order("ng", n, 4)  # at n = 1, K_1 and its complement sum to 0
     graphs = tuple(enumerate_connected(n))
     both = [g for g in graphs if is_connected(complement(g))]
     report = CensusReport("ng_census", "ng", n, len(graphs), len(both),
@@ -140,11 +145,7 @@ def run_construction_sweep(n: int, check: str,
     """
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep {check!r}; expected one of {SWEEP_CHECKS}")
-    if check == "thm38":
-        if not 2 <= n <= 7:
-            raise UnsupportedSizeError(f"the exact pc sweep needs 2 <= n <= 7, got {n}")
-    elif not 2 <= n <= 8:
-        raise UnsupportedSizeError(f"construction sweeps support 2 <= n <= 8, got {n}")
+    _require_order(check, n, 2)
     if check == "prop37":  # K_1 plus one connected class of order n-1
         graphs = tuple(Graph(n, comp.adj + (0,)) for comp in enumerate_connected(n - 1))
     else:

@@ -108,7 +108,10 @@ def _color_sides(h: Graph, lead_a: Sequence[int], rest_a: Sequence[int],
     a_i-b_j-a_0-b_0-a_k colored 1, 2, 1, 2, and a vertex joined to a_0 by a
     color-2 edge goes on along a_0-b_0, which has color 1.  With sides of 2 and
     1 on the 4-path's complement, the path c-a_0-b_0-a_1 through the fourth
-    vertex c is colored 2, 1, 2.
+    vertex c is colored 2, 1, 2.  In Prop 3.7's two-clique case h is a vertex s
+    joined to disjoint cliques P and Q, with lead_a = (s,), lead_b = P and
+    rest_a = rest_b = Q: each p-s-q is colored 1, 2, and every other pair is
+    a single edge.
     """
     assignment = dict.fromkeys(h.edges, 2)
     for side_a, side_b in ((lead_a, lead_b), (rest_a, rest_b)):
@@ -210,15 +213,8 @@ def color_complement_with_trivial_component(g: Graph) -> Construction:
     parts = components(h2)
     if len(parts) != 2:  # pragma: no cover - triangle-freeness forces two cliques
         raise ConstructionError("expected exactly two cliques in the component's complement")
-    clique_a = {back[i] for i in parts[0]}
-    assignment = {}
-    for u, v in h.edges:
-        if u == solo or v == solo:
-            other = v if u == solo else u
-            assignment[(u, v)] = 1 if other in clique_a else 2
-        else:
-            assignment[(u, v)] = 2 if u in clique_a else 1
-    return _verified(h, assignment, 2, "trivial_component_cliques")
+    clique_a, clique_b = ([back[i] for i in part] for part in parts)
+    return _color_sides(h, (solo,), clique_b, clique_a, clique_b, "trivial_component_cliques")
 
 
 #: the paper's complement theorems by name: each construction raises

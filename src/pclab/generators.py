@@ -159,7 +159,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs.
 
     Deterministic order (sorted by canonical code).  Supported for
-    1 <= n <= 8.
+    1 <= n <= ``MAX_ENUMERATION_N``.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise UnsupportedSizeError(

@@ -57,7 +57,8 @@ class TestPcCensus:
         assert report.passed
 
     def test_out_of_range(self):
-        for n in (2, 8):
+        # the recognizer starts at n = 3; the enumerator stops at 8
+        for n in (2, 9):
             with pytest.raises(UnsupportedSizeError):
                 run_pc_census(n)
 
@@ -116,8 +117,9 @@ class TestNgCensus:
             assert census[pair["graph6"]] == pair["pc"]
 
     def test_out_of_range(self):
-        with pytest.raises(UnsupportedSizeError):
-            run_ng_census(3)
+        for n in (3, 9):
+            with pytest.raises(UnsupportedSizeError):
+                run_ng_census(n)
 
     def test_each_class_is_solved_once(self, solves):
         # pc of a complement is read from the table, not solved again
@@ -204,8 +206,9 @@ class TestSweeps:
             run_construction_sweep(5, "thm99")
 
     def test_thm38_size_cap(self):
+        # thm38 solves exactly, under the same size rule as every other check
         with pytest.raises(UnsupportedSizeError):
-            run_construction_sweep(8, "thm38")
+            run_construction_sweep(9, "thm38")
 
 
 class TestDisconnectedComplementCoverage:

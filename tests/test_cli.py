@@ -21,7 +21,9 @@ from pclab import (
     graph6_encode,
 )
 import pclab.cli
+from pclab.census import CENSUS_CHECKS
 from pclab.cli import main
+from pclab.constructions import THEOREMS
 from pclab.generators import cycle_graph, double_star, path_graph, star_graph, star_plus_edge
 
 from conftest import ear_coloring
@@ -192,6 +194,16 @@ class TestColorComplement:
         assert code == 1
         assert kv(out)["outcome"] == "no_construction"
 
+    def test_lower_bound_outcome_exits_one(self, capsys):
+        # diameter 3 with triangles and a two-vertex middle: only the layer bound
+        code, out, _ = run_cli("color-complement", "E@NG", capsys=capsys)
+        pairs = kv(out)
+        assert code == 1
+        assert {key: pairs[key] for key in ("outcome", "case", "n1", "n2", "n3",
+                                            "n2_prime", "lower_bound")} == {
+            "outcome": "lower_bound", "case": "n2_big", "n1": "1", "n2": "2",
+            "n3": "2", "n2_prime": "0", "lower_bound": "2"}
+
     def test_failed_construction_exits_one(self, capsys, monkeypatch):
         # a literal coloring that fails its check is no construction, not a traceback
         monkeypatch.setattr(pclab.constructions, "is_proper_connected",
@@ -222,9 +234,11 @@ class TestGen:
         assert code == 0 and kv(out)["value"] == "4"
 
     def test_bad_params_exit_two(self, capsys):
-        code, _, err = run_cli("gen", "--family", "cycle", "--params", "2",
-                               capsys=capsys)
-        assert code == 2 and "error" in err
+        for family, params in [("cycle", "2"), ("path", "0"),
+                               ("complete_multipartite", "0,2")]:
+            code, _, err = run_cli("gen", "--family", family, "--params", params,
+                                   capsys=capsys)
+            assert code == 2 and "error" in err, family
 
     def test_too_large_rejected_before_building(self, capsys, monkeypatch):
         def refuse(spec):
@@ -261,9 +275,33 @@ class TestCensus:
         assert "invalid choice: 'thm41'" in capsys.readouterr().err
 
     def test_out_of_range_is_input_error(self, capsys):
-        code, _, err = run_cli("census", "--n", "9", "--check", "histogram",
-                               capsys=capsys)
-        assert code == 2
+        # one size rule: every check refuses n = 9, one past the enumerator,
+        # and accepts n = 8 (thm38 in the next test); the two full exact
+        # censuses at n = 8 are left to the acceptance suite to keep this short
+        for check in CENSUS_CHECKS:
+            code, _, err = run_cli("census", "--n", "9", "--check", check, capsys=capsys)
+            assert code == 2 and "n <= 8" in err, check
+        for check in THEOREMS:
+            code, out, _ = run_cli("census", "--n", "8", "--check", check, capsys=capsys)
+            assert code == 0 and kv(out)["passed"] == "true", check
+
+    def test_thm38_at_eight(self, capsys):
+        code, out, _ = run_cli("census", "--n", "8", "--check", "thm38", capsys=capsys)
+        assert code == 0 and kv(out)["qualifying"] == "405"
+
+    def test_budget_cutoff_lines_go_to_stderr(self, capsys):
+        code, out, err = run_cli("census", "--n", "5", "--check", "histogram",
+                                 "--budget", "0.000001", capsys=capsys)
+        assert code == 1 and kv(out)["complete"] == "false"
+        lines = err.splitlines()
+        assert lines and all(line.startswith("  budget exhausted on ") for line in lines)
+        assert "budget exhausted" not in out
+
+    def test_out_into_missing_directory_is_io_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "report.json"
+        code, _, err = run_cli("census", "--n", "4", "--check", "histogram",
+                               "--out", str(out_file), capsys=capsys)
+        assert code == 2 and err.startswith("io error:")
 
 
 class TestBudgetEnv:

@@ -428,6 +428,18 @@ class TestColoringType:
         with pytest.raises(ColoringFormatError):
             EdgeColoring(2, {(1, 0): 1})
 
+    @pytest.mark.parametrize("k,assignment,message", [
+        (-1, {}, "k must be >= 0"),
+        (0, {(0, 1): 1}, "needs k >= 1"),
+    ])
+    def test_rejects_bad_color_count(self, k, assignment, message):
+        with pytest.raises(ColoringFormatError, match=message):
+            EdgeColoring(k, assignment)
+
+    def test_from_sequence_needs_one_color_per_edge(self):
+        with pytest.raises(ColoringFormatError, match="expected 2 colors"):
+            EdgeColoring.from_sequence(path_graph(3), [1])
+
     def test_wrong_edge_count_detected(self):
         g = path_graph(3)
         with pytest.raises(ColoringFormatError):
@@ -454,6 +466,9 @@ class TestColoringFiles:
         ("colors 2\nedge 0 2 1\nedge 1 2 1", "not a graph edge"),
         ("colors 2\nroute 0 1 1", "unknown directive"),
         ("colors x", "not an integer"),
+        ("colors 2\ncolors 2", "duplicate 'colors' line"),
+        ("colors 2\nedge 0 1", "expected 'edge <u> <v> <c>'"),
+        ("colors 2\nedge 0 0 1", "bad endpoints"),
     ])
     def test_parse_errors(self, text, message):
         with pytest.raises(ColoringFormatError, match=message):

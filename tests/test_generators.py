@@ -62,6 +62,10 @@ class TestFamilies:
         FamilySpec("cycle4_plus_e", (1,)),
         FamilySpec("nonsense", ()),
         FamilySpec("cycle", (3, 4)),
+        FamilySpec("path", (0,)),
+        FamilySpec("star_plus_e", (2,)),
+        FamilySpec("complete", (0,)),
+        FamilySpec("complete_multipartite", (0, 2)),
     ])
     def test_invalid_parameters(self, spec):
         with pytest.raises(ValueError):

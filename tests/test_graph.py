@@ -32,7 +32,7 @@ from pclab.generators import (
     star_graph,
     star_plus_edge,
 )
-from pclab.graph import _min_placement, _twin_classes, bipartition
+from pclab.graph import _min_placement, _twin_classes, bipartition, induced_subgraph
 
 from conftest import random_connected_graph, random_tree, to_nx
 
@@ -67,6 +67,16 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_rejects_empty_vertex_set(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="nonempty"):
+            induced_subgraph(path_graph(3), [])
+
+    def test_relabel_rejects_a_non_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            relabel(path_graph(3), [0, 0, 1])
 
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])

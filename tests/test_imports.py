@@ -8,7 +8,8 @@ their last caller, a second BFS frontier loop beside ``graph._layers``, a
 second complement coloring that fills color 2 beside ``_color_sides``, a
 construction that reaches for the solver's search, a census that tests a
 theorem's hypothesis itself instead of asking the construction, a census
-that solves outside ``census._solved``, and an enumerator that no longer
+that solves outside ``census._solved`` or checks an order outside
+``census._require_order``, and an enumerator that no longer
 labels through the one name the benchmark hooks.
 """
 import ast
@@ -186,8 +187,8 @@ def test_census_selects_by_the_theorems_table():
                 if name.startswith("color_complement_") or name == "diameter"}
 
 
-def census_solver_sites() -> list[str]:
-    """The top-level definition of census.py around each mention of ``exact_pc``.
+def census_sites(wanted: str) -> list[str]:
+    """The top-level definition of census.py around each mention of ``wanted``.
 
     The import of the name is not a mention.
     """
@@ -195,14 +196,21 @@ def census_solver_sites() -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     return [getattr(node, "name", type(node).__name__) for node in tree.body
             if not isinstance(node, (ast.Import, ast.ImportFrom))
-            for name in _mentions(node) if name == "exact_pc"]
+            for name in _mentions(node) if name == wanted]
 
 
 def test_census_solves_in_one_place():
     # census._solved calls exact_pc once per class and builds the one table
     # every census check reads; it is also the call the benchmark's timer
     # wraps.  A second site could solve a class twice.
-    assert census_solver_sites() == ["_solved"]
+    assert census_sites("exact_pc") == ["_solved"]
+
+
+def test_census_has_one_size_rule():
+    # census._require_order is the one order check and its ceiling is the
+    # enumerator's; a second range would be a second size rule to keep in step
+    assert census_sites("UnsupportedSizeError") == ["_require_order"]
+    assert set(census_sites("MAX_ENUMERATION_N")) == {"_require_order"}
 
 
 def test_enumerator_labels_through_imported_name():

@@ -5,6 +5,7 @@ import pytest
 
 from pclab import (
     BudgetExceededError,
+    EdgeColoring,
     Graph,
     PreconditionError,
     SolverBudget,
@@ -255,6 +256,9 @@ class TestExistsKColoring:
         g = star_plus_edge(5)  # refuting k=2 takes 8 assignments
         with pytest.raises(BudgetExceededError):
             exists_k_coloring(g, 2, budget=SolverBudget(max_assignments=2))
+
+    def test_one_vertex_needs_no_colors(self):
+        assert exists_k_coloring(Graph(1, (0,)), 2) == EdgeColoring(0, {})
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
