@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .errors import UnsupportedSizeError
-from .graph import Graph, _bits, _is_cut_vertex, _min_placement, canonical_graph
+from .graph import Graph, _bits, _code_graph, _min_placement, _pieces, _twin_classes
 
 #: built-in enumeration stops here
 MAX_ENUMERATION_N = 8
@@ -104,13 +104,29 @@ def generate(spec: FamilySpec) -> Graph:
 # --- enumeration up to isomorphism -----------------------------------------
 #
 # Connected graphs on n vertices are grown from the representatives on n-1
-# vertices by attaching a new vertex v to every nonempty neighbor subset.  A
-# child is labeled only if no non-cut vertex w (the child minus w is still
-# connected) outranks v by the invariant (degree, sorted neighbor degrees); the
-# children that pass are deduplicated by canonical code.  No class is lost: a
-# connected G has a non-cut vertex m of largest invariant among its non-cut
-# vertices, G - m is connected and so isomorphic to a parent, and re-attaching
-# m there gives a child in which v plays m, so no non-cut vertex outranks v.
+# vertices by attaching a new vertex v to every nonempty neighbor subset S of
+# a parent P.  A child is labeled only if no non-cut vertex w (the child minus
+# w is still connected) outranks v by the invariant (degree, sorted neighbor
+# degrees); the children that pass are deduplicated by canonical code, and
+# each class is decoded from its code.  No class is lost: a connected G has a
+# non-cut vertex m of largest invariant among its non-cut vertices, G - m is
+# connected and so isomorphic to a parent, and re-attaching m there gives a
+# child in which v plays m, so no non-cut vertex outranks v (the argument of
+# McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
+#
+# The child adjacency is built only for a child that is labeled; each parent
+# does the rest once.  The child minus w (w < v) is P - w plus v joined to S,
+# so it is connected exactly when S meets every component of P - w, and the
+# child's degrees are P's plus the bits of S.
+#
+# Twin prefixes: within each twin class of P (``_twin_classes``), S may hold
+# a twin only together with every twin listed before it.  Any permutation σ
+# of a twin class is an automorphism of P, as the transpositions of twins
+# are; extended to fix v it maps child(S) onto child(σS).  Permuting each
+# class independently turns S into a prefix-closed σS, so every class of
+# children keeps a member, and since the isomorphism fixes v it carries the
+# non-cut vertices and invariants of one child onto the other's: the
+# ``_outranked`` verdict holds for σS exactly when it holds for S.
 
 _LEVELS: dict[int, tuple[Graph, ...]] = {}
 
@@ -119,33 +135,54 @@ def _build_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     v = n - 1
-    reps: dict[tuple[int, ...], Graph] = {}
+    codes: set[tuple[int, ...]] = set()
     for parent in _level(v):
         padj = parent.adj
-        for subset in range(1, 1 << v):
+        deg = [a.bit_count() for a in padj]
+        pieces = [_pieces(padj, 1 << w) for w in range(v)]
+        for subset in _twin_prefixes(padj):
+            if _outranked(padj, deg, pieces, subset):
+                continue
             adj = [a | ((subset >> i & 1) << v) for i, a in enumerate(padj)]
             adj.append(subset)
-            if _outranked(adj, v):
-                continue
-            cols, perm = _min_placement(n, adj)
-            if cols not in reps:
-                reps[cols] = canonical_graph(Graph(n, tuple(adj)), perm)
-    return tuple(reps[cols] for cols in sorted(reps))
+            codes.add(_min_placement(n, adj)[0])
+    return tuple(_code_graph(n, code) for code in sorted(codes))
 
 
-def _outranked(adj: list[int], v: int) -> bool:
-    """Whether a non-cut vertex w < v has a larger invariant than v."""
-    deg = [a.bit_count() for a in adj]
+def _twin_prefixes(adj: tuple[int, ...]) -> list[int]:
+    """The nonempty vertex subsets that hold, within each twin class, only a
+    prefix of the class in vertex order."""
+    classes: dict[int, list[int]] = {}
+    for u, least in enumerate(_twin_classes(len(adj), adj)):
+        classes.setdefault(least, []).append(u)
+    subsets = [0]
+    for members in classes.values():
+        prefixes, mask = [0], 0
+        for u in members:
+            mask |= 1 << u
+            prefixes.append(mask)
+        subsets = [s | p for s in subsets for p in prefixes]
+    return subsets[1:]
+
+
+def _outranked(padj: tuple[int, ...], deg: list[int], pieces: list[list[int]],
+               subset: int) -> bool:
+    """Whether a non-cut vertex w < v of child(subset) has a larger invariant
+    than v, read from the parent's adjacency, degrees and pieces."""
+    dv = subset.bit_count()
     mine = None
-    for w in range(v):
-        if deg[w] < deg[v]:
+    for w, around in enumerate(pieces):
+        dw = deg[w] + (subset >> w & 1)
+        if dw < dv or not all(subset & p for p in around):
             continue
-        if deg[w] == deg[v]:
-            mine = mine or sorted(deg[u] for u in _bits(adj[v]))
-            if sorted(deg[u] for u in _bits(adj[w])) <= mine:
+        if dw == dv:
+            mine = mine or sorted(deg[u] + 1 for u in _bits(subset))
+            theirs = [deg[u] + (subset >> u & 1) for u in _bits(padj[w])]
+            if subset >> w & 1:
+                theirs.append(dv)
+            if sorted(theirs) <= mine:
                 continue
-        if not _is_cut_vertex(adj, w):
-            return True
+        return True
     return False
 
 

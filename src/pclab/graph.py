@@ -6,8 +6,9 @@ small sizes this package targets.
 
 One BFS layer walk, ``_layers``, answers every traversal question: distances
 (and through them the far-root view and the diameter), connectivity,
-components, bipartition, and the bridge and cut-vertex tests behind
-``bridge_profile``, ``structure_flags`` and the enumerator's prefilter.
+bipartition, the bridge test behind ``bridge_profile``, and ``_pieces``, the
+components left once a vertex set is removed, behind ``components``,
+``structure_flags`` and the enumerator's cut-vertex prefilter.
 
 Canonical labeling refines ordered vertex partitions, held as bitmask cells,
 to equitable ones and branches only where refinement leaves a choice, one
@@ -170,11 +171,24 @@ def _layers(adj: Sequence[int], seen: int, frontier: int) -> Iterator[int]:
         seen |= frontier
 
 
+def _pieces(adj: Sequence[int], seen: int) -> list[int]:
+    """Components of the graph minus ``seen``, as bitmasks ordered by least vertex.
+
+    A piece is the set of vertices one BFS from its least vertex reaches
+    without entering ``seen``.
+    """
+    out = []
+    left = ((1 << len(adj)) - 1) & ~seen
+    while left:
+        piece = sum(_layers(adj, seen, left & -left))
+        out.append(piece)
+        left ^= piece
+    return out
+
+
 def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
-    """Whether v is a cut vertex: not all the rest is reachable from one of its
-    vertices without entering v."""
-    rest = ((1 << len(adj)) - 1) ^ (1 << v)
-    return sum(_layers(adj, 1 << v, rest & -rest)) != rest
+    """Whether v is a cut vertex: the rest falls into more than one piece."""
+    return len(_pieces(adj, 1 << v)) > 1
 
 
 def _is_bridge(adj: Sequence[int], u: int, v: int) -> bool:
@@ -204,17 +218,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least vertex.
-
-    A component is the set of vertices one BFS from its least vertex reaches.
-    """
-    out = []
-    left = (1 << g.n) - 1
-    while left:
-        comp = sum(_layers(g.adj, 0, left & -left))
-        out.append(tuple(_bits(comp)))
-        left ^= comp
-    return tuple(out)
+    """Connected components as sorted vertex tuples, ordered by least vertex."""
+    return tuple(tuple(_bits(piece)) for piece in _pieces(g.adj, 0))
 
 
 def diameter(g: Graph) -> int:
@@ -222,8 +227,13 @@ def diameter(g: Graph) -> int:
 
 
 def layered_view(g: Graph) -> LayeredView:
-    """Far root and layers of a connected graph, from one BFS per vertex."""
-    dist = max((bfs_distances(g, v) for v in range(g.n)), key=max)
+    """Far root and layers of a connected graph.
+
+    A layer walk from each vertex counts its layers, one more than its
+    eccentricity; only the least vertex with the most layers gets distances.
+    """
+    steps = [sum(1 for _ in _layers(g.adj, 0, 1 << v)) for v in range(g.n)]
+    dist = bfs_distances(g, steps.index(max(steps)))
     if -1 in dist:
         raise PreconditionError("diameter and layers are undefined on a disconnected graph")
     return _view(dist)
@@ -413,14 +423,20 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _min_placement(g.n, g.adj)
 
 
-def canonical_graph(g: Graph, placement: Sequence[int] | None = None) -> Graph:
-    """The canonically labeled copy of g."""
-    if placement is None:
-        placement = canonical_form(g)[1]
-    mapping = [0] * g.n
-    for pos, old in enumerate(placement):
-        mapping[old] = pos
-    return relabel(g, mapping)
+def _code_graph(n: int, code: Sequence[int]) -> Graph:
+    """The graph on n vertices whose column string is ``code``; see
+    ``_min_placement``. Bit i of ``code[k]`` is the edge between k and k-1-i."""
+    masks = [0] * n
+    for k, col in enumerate(code):
+        for i in _bits(col):
+            masks[k] |= 1 << (k - 1 - i)
+            masks[k - 1 - i] |= 1 << k
+    return Graph(n, tuple(masks))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The canonically labeled copy of g, read from its code."""
+    return _code_graph(g.n, canonical_code(g))
 
 
 def canonical_code(g: Graph) -> tuple[int, ...]:

@@ -180,8 +180,8 @@ class TestSweeps:
         # diameter, triangle-freeness, completeness and complement connectivity
         # are all a construction sweep reads: it asks for no bridge and no cut
         # vertex.  thm38 is left out because exact_pc takes the bridge profile
-        # of every graph it solves.  The enumerator's non-cut prefilter calls
-        # generators' own binding of _is_cut_vertex, which the patch leaves alone.
+        # of every graph it solves.  The enumerator's non-cut prefilter reads
+        # each parent's pieces (graph._pieces) and never asks _is_cut_vertex.
         calls = []
         for name in ("_is_bridge", "_is_cut_vertex"):
             test = getattr(pclab.graph, name)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -20,10 +21,24 @@ from pclab.generators import (
     double_star,
     enumerate_connected,
     path_graph,
+    star_graph,
     star_plus_edge,
 )
+from pclab.graph6 import graph6_encode
 
 from conftest import count_connected_classes, to_nx
+
+
+GRAPH6_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "bf158ea8c37a3ec7a9b1386892d1a29fd3bf86878fb29262e467775aba813399",
+    5: "5de92424af99346fc74681d00325ca422296d37d362efa7b7c982b2dbfbdfde3",
+    6: "866bd05423740958859b20b1a746819e1bb517ade79aca24b6690a9de8576eae",
+    7: "f81906217acf1fb95881278dfe338c00367e1edc8090d67459b708d8505e1ab6",
+    8: "ba109d77f0da56eed19ba945ec20b5ee1b713cf3876010b84e42e012d5408ddf",
+}
 
 
 class TestFamilies:
@@ -84,8 +99,36 @@ class TestEnumeration:
             codes = [canonical_code(g) for g in reps]
             assert all(a < b for a, b in zip(codes, codes[1:]))
 
+    def test_graph6_digests_are_pinned(self):
+        # sha256 of each level's graph6 strings, one a line, in enumeration
+        # order, as the build before the twin-prefix rule wrote them
+        for n, digest in GRAPH6_DIGESTS.items():
+            text = "\n".join(graph6_encode(g) for g in enumerate_connected(n))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+    def test_piece_test_matches_cut_vertex_walk(self):
+        # the child P+v minus w is connected exactly when v's subset meets
+        # every piece of P - w
+        for k in range(1, 7):
+            for parent in enumerate_connected(k):
+                pieces = [graph._pieces(parent.adj, 1 << w) for w in range(k)]
+                for subset in range(1, 1 << k):
+                    adj = [a | (subset >> i & 1) << k for i, a in enumerate(parent.adj)]
+                    adj.append(subset)
+                    for w in range(k):
+                        joined = all(subset & p for p in pieces[w])
+                        assert joined != graph._is_cut_vertex(adj, w), (parent, subset, w)
+
+    def test_twin_prefixes_keep_one_subset_per_twin_pattern(self):
+        # K_{1,3} with center 0: the leaves are twins, so a subset holds the
+        # center or not and the first 0..3 leaves
+        star = star_graph(4)
+        assert sorted(generators._twin_prefixes(star.adj)) == sorted(
+            c | leaves for c in (0, 1) for leaves in (0, 2, 6, 14) if c | leaves)
+
     def test_labelings_per_cold_build(self, monkeypatch):
-        # the invariant prefilter labels 1,698 of the 7,815 children of levels 2..7
+        # the twin-prefix rule and the invariant prefilter label 1,353 of the
+        # 7,815 children of levels 2..7
         monkeypatch.setattr(generators, "_LEVELS", {})
         calls = []
         label = generators._min_placement
@@ -96,11 +139,11 @@ class TestEnumeration:
 
         monkeypatch.setattr(generators, "_min_placement", counted)
         assert len(list(enumerate_connected(7))) == count_connected_classes(7)
-        assert len(calls) <= 1698
+        assert len(calls) <= 1353
 
     def test_refinements_per_cold_build(self, monkeypatch):
-        # the 1,698 labelings of levels 2..7 refine 5,252 partitions, 2,479 of
-        # them leaves: refinement settles most of the labeling before any branch
+        # the 1,353 labelings of levels 2..7 refine 4,268 partitions: refinement
+        # settles most of the labeling before any branch
         monkeypatch.setattr(generators, "_LEVELS", {})
         calls = []
         refine = graph._refine
@@ -111,7 +154,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(graph, "_refine", counted)
         assert len(list(enumerate_connected(7))) == count_connected_classes(7)
-        assert len(calls) <= 5252
+        assert len(calls) <= 4268
 
     def test_counts_match_labeled_brute_force(self):
         # every labeled connected graph on n <= 5 vertices, deduplicated

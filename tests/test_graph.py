@@ -14,6 +14,7 @@ from pclab import (
     bridge_profile,
     canonical_code,
     canonical_form,
+    canonical_graph,
     complement,
     components,
     diameter,
@@ -378,3 +379,4 @@ class TestCanonical:
         for pos, old in enumerate(placement):
             mapping[old] = pos
         assert canonical_code(relabel(g, mapping)) == code
+        assert relabel(g, mapping) == canonical_graph(g)

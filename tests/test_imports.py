@@ -9,8 +9,9 @@ second complement coloring that fills color 2 beside ``_color_sides``, a
 construction that reaches for the solver's search, a census that tests a
 theorem's hypothesis itself instead of asking the construction, a census
 that solves outside ``census._solved`` or checks an order outside
-``census._require_order``, and an enumerator that no longer
-labels through the one name the benchmark hooks.
+``census._require_order``, an enumerator that no longer labels through
+the one name the benchmark hooks, and an enumerator that walks or relabels
+each child again.
 """
 import ast
 from collections import Counter
@@ -213,16 +214,30 @@ def test_census_has_one_size_rule():
     assert set(census_sites("MAX_ENUMERATION_N")) == {"_require_order"}
 
 
+def generators_graph_imports() -> set[str]:
+    """The names generators.py imports from ``.graph`` under their own name."""
+    path = Path(pclab.__file__).parent / "generators.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "graph" and node.level == 1
+            for a in node.names if a.asname is None}
+
+
 def test_enumerator_labels_through_imported_name():
     # the benchmark times labeling by patching generators._min_placement; a
     # rename or an inlined labeling would read 0 there without an error
     path = Path(pclab.__file__).parent / "generators.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    imported = {a.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module == "graph" and node.level == 1
-                for a in node.names if a.asname is None}
+    imported = generators_graph_imports()
     build = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_build_level")
     called = {node.func.id for node in ast.walk(build)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "_min_placement" in imported & called
+
+
+def test_enumerator_tests_cut_vertices_once_per_parent():
+    # the enumerator reads each child's cut vertices from its parent's pieces
+    # and decodes each class from its code; importing the per-graph cut-vertex
+    # walk or the relabeling would bring back one BFS or one relabel per child
+    assert not generators_graph_imports() & {"_is_cut_vertex", "canonical_graph"}
