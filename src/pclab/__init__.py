@@ -18,13 +18,11 @@ from .graph import (
     StructureFlags,
     bridge_profile,
     canonical_code,
-    canonical_form,
     canonical_graph,
     complement,
     components,
     diameter,
     is_connected,
-    layered_view,
     relabel,
     structure_flags,
 )

@@ -9,7 +9,7 @@ sets of a pair; every other edge gets color 2, which cannot break any
 certified path.  No construction searches: a literal coloring that fails
 verification raises ConstructionError.  Each theorem's construction raises
 PreconditionError exactly outside its hypothesis, so ``THEOREMS`` is also what
-the census sweeps select by.
+the census sweeps and ``auto_pc2_complement`` select by.
 """
 from __future__ import annotations
 
@@ -21,15 +21,13 @@ from .errors import ConstructionError, PreconditionError
 from .generators import FamilySpec, generate
 from .graph import (
     Graph,
-    LayeredView,
+    _min_placement,
     _view,
     bfs_distances,
-    canonical_form,
     complement,
     components,
     induced_subgraph,
     is_connected,
-    layered_view,
 )
 
 CASE_N2_ONE = "n2_one"
@@ -40,10 +38,10 @@ CASE_N2_BIG = "n2_big"
 class Diam3Analysis:
     """Layers N0..N3 of a diameter-3 graph G around a far root, and their shape.
 
-    The root, ``layers[0][0]``, is the far root x of ``layered_view`` unless
-    N2(x) and N3(x) are single vertices and N1(x) is larger; then it is the
-    lone N3 vertex, whose N1 is the lone N2(x) vertex.  So the shape is ``n2_big`` (n2 >= 2) or
-    ``n2_one`` (n2 = 1, the 4-path included).
+    The root, ``layers[0][0]``, is the far root x of ``Graph.layered_view``
+    unless N2(x) and N3(x) are single vertices and N1(x) is larger; then it is
+    the lone N3 vertex, whose N1 is the lone N2(x) vertex.  So the shape is
+    ``n2_big`` (n2 >= 2) or ``n2_one`` (n2 = 1, the 4-path included).
 
     ``lower_bound`` holds for every such G.  The complement H is connected (the
     root is adjacent in H to N2 and N3, and each N1 vertex to all of N3) and not
@@ -124,10 +122,7 @@ def _color_sides(h: Graph, lead_a: Sequence[int], rest_a: Sequence[int],
 
 def color_complement_diam_ge4(g: Graph) -> Construction:
     """2-coloring of the complement of a connected graph with diameter >= 4."""
-    return _color_complement_diam_ge4(g, layered_view(g))
-
-
-def _color_complement_diam_ge4(g: Graph, lv: LayeredView) -> Construction:
+    lv = g.layered_view
     if lv.diameter < 4:
         raise PreconditionError(f"diameter must be >= 4, got {lv.diameter}")
     root, layer1, _, layer3, layer4 = lv.layers[:5]
@@ -137,10 +132,7 @@ def _color_complement_diam_ge4(g: Graph, lv: LayeredView) -> Construction:
 
 def analyze_diam3(g: Graph) -> Diam3Analysis:
     """Layers, the pendant-edge counter, and the shape at diameter 3."""
-    return _analyze_diam3(g, layered_view(g))
-
-
-def _analyze_diam3(g: Graph, lv: LayeredView) -> Diam3Analysis:
+    lv = g.layered_view
     if lv.diameter != 3:
         raise PreconditionError("analysis applies to diameter-3 graphs only")
     if len(lv.layers[2]) == len(lv.layers[3]) == 1 < len(lv.layers[1]):
@@ -177,7 +169,7 @@ def color_complement_diam2_trianglefree(g: Graph) -> Construction:
     """2-coloring of the complement of a triangle-free diameter-2 graph."""
     if not g.triangle_free:
         raise PreconditionError("input must be triangle-free")
-    lv = layered_view(g)
+    lv = g.layered_view
     if lv.diameter != 2:
         raise PreconditionError("input must have diameter 2")
     h = complement(g)
@@ -275,8 +267,8 @@ def classify_pc_n_minus_2(g: Graph) -> ClassificationVerdict:
         if instance.degree_sequence != g.degree_sequence:
             continue
         if code_g is None:
-            code_g, perm_g = canonical_form(g)
-        code_i, perm_i = canonical_form(instance)
+            code_g, perm_g = _min_placement(n, g.adj)
+        code_i, perm_i = _min_placement(n, instance.adj)
         if code_g != code_i:
             continue
         pos = [0] * n
@@ -291,36 +283,35 @@ def classify_pc_n_minus_2(g: Graph) -> ClassificationVerdict:
 
 
 def auto_pc2_complement(g: Graph) -> DispatchResult:
-    """Route to whichever complement coloring applies; report bounds otherwise."""
+    """Route to whichever of ``THEOREMS`` applies, then color or bound the shapes
+    no theorem names."""
     h = complement(g)
     if h.complete:
         built = _verified(h, {e: 1 for e in h.edges}, 1 if h.m else 0, "complement_complete")
         return DispatchResult("colored", built)
+    if g.complete:
+        raise PreconditionError("complete input: its complement is edgeless")
     comps = components(g)
-    if len(comps) == 1:
-        if g.complete:
-            raise PreconditionError("complete input: its complement is edgeless")
-        lv = layered_view(g)
-        if lv.diameter >= 4:
-            return DispatchResult("colored", _color_complement_diam_ge4(g, lv))
-        if lv.diameter == 3:
-            ana = _analyze_diam3(g, lv)
-            if ana.case == CASE_N2_ONE or g.triangle_free:
-                return DispatchResult("colored", _color_complement_diam3(g, ana), analysis=ana)
-            return DispatchResult("lower_bound", analysis=ana,
-                                  reason="diameter 3 with triangles: pc of the complement "
-                                         "may be large; reporting the layer lower bound")
+    ana = analyze_diam3(g) if len(comps) == 1 and g.layered_view.diameter == 3 else None
+    for construct in THEOREMS.values():  # the hypotheses are disjoint
+        try:
+            built = construct(g)
+        except PreconditionError:
+            continue
+        return DispatchResult("colored", built, analysis=ana)
+    if ana is not None:  # diameter 3 with triangles
+        if ana.case == CASE_N2_ONE:
+            return DispatchResult("colored", _color_complement_diam3(g, ana), analysis=ana)
+        return DispatchResult("lower_bound", analysis=ana,
+                              reason="diameter 3 with triangles: pc of the complement "
+                                     "may be large; reporting the layer lower bound")
+    if len(comps) == 1:  # diameter 2
         if g.triangle_free:
-            if is_connected(h):
-                return DispatchResult("colored", color_complement_diam2_trianglefree(g))
             return DispatchResult("no_construction",
                                   reason="complement is disconnected")
         return DispatchResult("no_construction",
                               reason="diameter 2 with triangles: no 2-coloring available")
-    sizes = sorted(len(c) for c in comps)
-    if len(comps) == 2 and sizes[0] == 1:
-        if g.triangle_free:
-            return DispatchResult("colored", color_complement_with_trivial_component(g))
+    if len(comps) == 2 and min(len(c) for c in comps) == 1:
         return DispatchResult("no_construction",
                               reason="two components with triangles: no 2-coloring available")
     # the largest component has >= 2 vertices (else h is complete), and so do

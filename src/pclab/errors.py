@@ -28,8 +28,9 @@ class ConstructionError(PclabError, RuntimeError):
 class BudgetExceededError(PclabError, RuntimeError):
     """A search hit its budget: the outcome is unknown, not refuted.
 
-    ``stage`` names the phase that was cut off; ``stats`` carries the solver
-    telemetry collected so far (when available).
+    ``stage`` names the phase that was cut off; ``stats`` is a dict of the
+    counters collected so far, shaped as ``PcResult.stats`` for the solver and
+    ``{"entered": count}`` for the path enumeration.
     """
 
     def __init__(self, message, stage=None, stats=None):

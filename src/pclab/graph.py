@@ -96,13 +96,26 @@ class Graph:
     def triangle_free(self) -> bool:
         return all(self.adj[u] & self.adj[v] == 0 for u, v in self.edges)
 
+    @cached_property
+    def layered_view(self) -> "LayeredView":
+        """Far root and layers of a connected graph.
+
+        A layer walk from each vertex counts its layers, one more than its
+        eccentricity; only the least vertex with the most layers gets distances.
+        """
+        steps = [sum(1 for _ in _layers(self.adj, 0, 1 << v)) for v in range(self.n)]
+        dist = bfs_distances(self, steps.index(max(steps)))
+        if -1 in dist:
+            raise PreconditionError("diameter and layers are undefined on a disconnected graph")
+        return _view(dist)
+
 
 @dataclass(frozen=True)
 class LayeredView:
     """The far root x of a connected graph with its distance layers.
 
-    ``layered_view`` takes x as the least vertex whose eccentricity is the
-    diameter; ``layers`` holds N0(x)..N3(x) plus one bucket for distance >= 4.
+    ``Graph.layered_view`` takes x as the least vertex whose eccentricity is
+    the diameter; ``layers`` holds N0(x)..N3(x) plus one bucket for distance >= 4.
     """
 
     root: int
@@ -223,20 +236,7 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def diameter(g: Graph) -> int:
-    return layered_view(g).diameter
-
-
-def layered_view(g: Graph) -> LayeredView:
-    """Far root and layers of a connected graph.
-
-    A layer walk from each vertex counts its layers, one more than its
-    eccentricity; only the least vertex with the most layers gets distances.
-    """
-    steps = [sum(1 for _ in _layers(g.adj, 0, 1 << v)) for v in range(g.n)]
-    dist = bfs_distances(g, steps.index(max(steps)))
-    if -1 in dist:
-        raise PreconditionError("diameter and layers are undefined on a disconnected graph")
-    return _view(dist)
+    return g.layered_view.diameter
 
 
 def _view(dist: Sequence[int]) -> LayeredView:
@@ -405,24 +405,6 @@ def _min_placement(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[i
     return best
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical code plus the placement realizing it.
-
-    The code is the least column string over the leaves of an
-    individualization–refinement search (see ``_min_placement``); it lists
-    the canonically labeled graph's upper-triangle adjacency bits column by
-    column, so it fixes that graph (and its graph6 text) one-to-one, and two
-    graphs get identical codes exactly when they are isomorphic.
-    ``placement[i]`` is the original vertex at canonical position i; when
-    several placements realize the code (g has automorphisms), which one is
-    returned depends on g's labels.
-    """
-    if g.n > MAX_CANONICAL_N:
-        raise UnsupportedSizeError(
-            f"canonical labeling is capped at n <= {MAX_CANONICAL_N}, got {g.n}")
-    return _min_placement(g.n, g.adj)
-
-
 def _code_graph(n: int, code: Sequence[int]) -> Graph:
     """The graph on n vertices whose column string is ``code``; see
     ``_min_placement``. Bit i of ``code[k]`` is the edge between k and k-1-i."""
@@ -440,5 +422,15 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def canonical_code(g: Graph) -> tuple[int, ...]:
-    """Isomorphism-class code of g; see ``canonical_form``."""
-    return canonical_form(g)[0]
+    """Isomorphism-class code of g.
+
+    The code is the least column string over the leaves of an
+    individualization–refinement search (see ``_min_placement``); it lists
+    the canonically labeled graph's upper-triangle adjacency bits column by
+    column, so it fixes that graph (and its graph6 text) one-to-one, and two
+    graphs get identical codes exactly when they are isomorphic.
+    """
+    if g.n > MAX_CANONICAL_N:
+        raise UnsupportedSizeError(
+            f"canonical labeling is capped at n <= {MAX_CANONICAL_N}, got {g.n}")
+    return _min_placement(g.n, g.adj)[0]

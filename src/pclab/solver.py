@@ -210,7 +210,7 @@ class _Clock:
     def check(self, stage: str, stats: SolverStats) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError(
-                f"time budget exceeded during {stage}", stage=stage, stats=stats)
+                f"time budget exceeded during {stage}", stage=stage, stats=stats.to_json())
 
 
 def _search_k(g: Graph, k: int, budget: SolverBudget, stats: SolverStats,
@@ -273,7 +273,7 @@ def _search_k(g: Graph, k: int, budget: SolverBudget, stats: SolverStats,
         stats.assignments += 1
         if stats.assignments > budget.max_assignments:
             raise BudgetExceededError(
-                f"assignment budget exceeded during {stage}", stage=stage, stats=stats)
+                f"assignment budget exceeded during {stage}", stage=stage, stats=stats.to_json())
         failed = _unjoined_pair(view, failed)
         if failed is None:
             coloring = EdgeColoring(k, dict(zip(order, colors)))

@@ -19,7 +19,7 @@ from pclab import (
     is_proper_connected,
     parse_coloring,
 )
-from pclab.coloring import _unjoined_pair, _View
+from pclab.coloring import _back_reach, _paths, _unjoined_pair, _View
 from pclab.generators import (complete_graph, cycle_graph, enumerate_connected, path_graph,
                               star_graph)
 
@@ -227,6 +227,19 @@ class TestEndpointColorPairs:
         has_strong_property(g, coloring, budget=18)
         with pytest.raises(BudgetExceededError):
             has_strong_property(g, coloring, budget=17)
+
+    def test_back_reach_keeps_the_search_out_of_dead_ends(self):
+        # K4 on 0..3 with every edge at 3 colored 1, and 4 hanging from 3 by
+        # color 1: a walk to 4 leaves 3 by color 1, so it must enter 3 by
+        # color 2, which no edge offers.  The search from 0 enters no vertex;
+        # without the pruning it would walk every path of the K4 first.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        coloring = EdgeColoring(2, {(0, 1): 1, (0, 2): 2, (0, 3): 1, (1, 2): 2,
+                                    (1, 3): 1, (2, 3): 1, (3, 4): 1})
+        view = _View.of(g, coloring)
+        reach = _back_reach(view, 4)
+        assert reach == [0, 0, 0, 2, 3]
+        assert list(_paths(view, 0, 4, reach, budget=1)) == []
 
 
 class TestStrongProperty:

@@ -130,7 +130,7 @@ class TestDiam3Analysis:
 
     def test_lower_bound_cases_found_in_census(self):
         # every far root of every diameter-3 class at n <= 7, moved to vertex 0
-        # so that layered_view picks it: a coloring verifies with 2 colors, and
+        # so that Graph.layered_view picks it: a coloring verifies with 2 colors, and
         # a reported bound is at most exact pc of the complement
         roots, bounds = 0, 0
         for n in range(4, 8):
@@ -421,27 +421,19 @@ class TestAutoDispatcher:
 
 class TestCensusAgreement:
     def test_constructions_match_solver_across_census(self):
-        """Wherever a construction applies at n <= 7, its color count equals
-        the exact pc of the complement."""
+        """Wherever a construction of ``THEOREMS`` accepts a class at n <= 7,
+        its color count equals the exact pc of the complement."""
         checked = 0
         for n in range(4, 8):
             for g in enumerate_connected(n):
-                flags = structure_flags(g)
-                d = diameter(g)
-                built = None
-                if d >= 4:
-                    built = color_complement_diam_ge4(g)
-                elif d == 3 and flags.triangle_free:
-                    built = color_complement_diam3_trianglefree(g)
-                elif (d == 2 and flags.triangle_free
-                      and is_connected(complement(g))):
-                    built = color_complement_diam2_trianglefree(g)
-                if built is None:
-                    continue
-                value = exact_pc(complement(g)).value
-                assert value == built.coloring.k == 2
-                checked += 1
-        assert checked > 100
+                for construct in THEOREMS.values():
+                    try:
+                        built = construct(g)
+                    except PreconditionError:  # outside the theorem's hypothesis
+                        continue
+                    assert exact_pc(complement(g)).value == built.coloring.k == 2
+                    checked += 1
+        assert checked == 148  # thm31 102, thm33 41, thm36 5
 
 
 class TestPinnedCertificates:

@@ -13,12 +13,10 @@ from pclab import (
     UnsupportedSizeError,
     bridge_profile,
     canonical_code,
-    canonical_form,
     canonical_graph,
     complement,
     components,
     diameter,
-    layered_view,
     relabel,
     structure_flags,
 )
@@ -106,36 +104,36 @@ class TestComplement:
 
 class TestLayeredView:
     def test_path_end(self):
-        lv = layered_view(path_graph(5))
+        lv = path_graph(5).layered_view
         assert lv.root == 0 and [len(layer) for layer in lv.layers] == [1, 1, 1, 1, 1]
         assert lv.diameter == 4
 
     def test_cycle(self):
-        lv = layered_view(cycle_graph(5))
+        lv = cycle_graph(5).layered_view
         assert lv.root == 0 and [len(layer) for layer in lv.layers] == [1, 2, 2, 0, 0]
         assert lv.diameter == 2
 
     def test_star_far_root_is_a_leaf(self):
-        lv = layered_view(star_graph(5))
+        lv = star_graph(5).layered_view
         assert lv.root == 1 and [len(layer) for layer in lv.layers] == [1, 1, 3, 0, 0]
         assert lv.diameter == 2
 
     def test_far_bucket_collects_distance_ge_4(self):
-        lv = layered_view(path_graph(7))
+        lv = path_graph(7).layered_view
         assert lv.layers[4] == (4, 5, 6)
 
     def test_layers_partition(self):
         rng = random.Random(7)
         for _ in range(20):
             g = random_connected_graph(rng.randint(2, 8), rng)
-            lv = layered_view(g)
+            lv = g.layered_view
             seen = sorted(v for layer in lv.layers for v in layer)
             assert seen == list(range(g.n))
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(PreconditionError):
-            layered_view(g)
+            g.layered_view
 
 
 class TestStructureFlags:
@@ -236,7 +234,7 @@ class TestTraversalAgainstNetworkx:
                     assert all(comp[0] in side0 for comp in comps)
                 if len(comps) == 1:
                     ecc = nx.eccentricity(G)
-                    lv = layered_view(g)
+                    lv = g.layered_view
                     assert lv.diameter == max(ecc.values())
                     assert lv.root == min(v for v in ecc if ecc[v] == lv.diameter)
                     dist = nx.single_source_shortest_path_length(G, lv.root)
@@ -351,7 +349,7 @@ class TestCanonical:
         rng = random.Random(10)
         for g in corpus:
             work.clear()
-            code, placement = canonical_form(g)
+            code, placement = graph._min_placement(g.n, g.adj)
             assert column_string(g.adj, placement) == code
             for _ in range(30):
                 perm = list(range(g.n))
@@ -373,7 +371,7 @@ class TestCanonical:
 
     def test_form_places_canonical_graph(self):
         g = star_plus_edge(5)
-        code, placement = canonical_form(g)
+        code, placement = graph._min_placement(g.n, g.adj)
         assert sorted(placement) == list(range(g.n))
         mapping = [0] * g.n
         for pos, old in enumerate(placement):

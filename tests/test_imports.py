@@ -7,11 +7,12 @@ outlive the code that used them, private module-level names that outlive
 their last caller, a second BFS frontier loop beside ``graph._layers``, a
 second complement coloring that fills color 2 beside ``_color_sides``, a
 construction that reaches for the solver's search, a census that tests a
-theorem's hypothesis itself instead of asking the construction, a census
-that solves outside ``census._solved`` or checks an order outside
-``census._require_order``, an enumerator that no longer labels through
-the one name the benchmark hooks, and an enumerator that walks or relabels
-each child again.
+theorem's hypothesis itself instead of asking the construction, a
+complement dispatcher that names a theorem's construction instead of
+trying ``THEOREMS``, a census that solves outside ``census._solved`` or
+checks an order outside ``census._require_order``, an enumerator that no
+longer labels through the one name the benchmark hooks, and an enumerator
+that walks or relabels each child again.
 """
 import ast
 from collections import Counter
@@ -186,6 +187,17 @@ def test_census_selects_by_the_theorems_table():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert not {name for name in imported
                 if name.startswith("color_complement_") or name == "diameter"}
+
+
+def test_dispatcher_reaches_theorems_through_the_table():
+    # auto_pc2_complement tries each THEOREMS construction in table order and
+    # keeps code only for the shapes no theorem names; naming a construction
+    # would let it test that theorem's hypothesis a second time
+    path = Path(pclab.__file__).parent / "constructions.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dispatcher = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "auto_pc2_complement")
+    assert [name for name in _mentions(dispatcher) if name.startswith("color_complement_")] == []
 
 
 def census_sites(wanted: str) -> list[str]:

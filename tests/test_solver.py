@@ -214,9 +214,10 @@ class TestExistsKColoring:
         # coloring of the path dies at the last vertex's four bridges
         g = Graph.from_edges(34, [(i, i + 1) for i in range(30)] + [(30, 31), (30, 32), (30, 33)])
         stats = SolverStats()
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as caught:
             exists_k_coloring(g, 3, budget=SolverBudget(max_seconds=0.1), stats=stats)
         assert stats.assignments == 0
+        assert caught.value.stats == {"assignments": 0}
 
     def test_public_checker_sees_only_certificates(self, monkeypatch):
         # leaves are checked on the search's own view; the public checker
@@ -254,8 +255,10 @@ class TestExistsKColoring:
 
     def test_budget_raises(self):
         g = star_plus_edge(5)  # refuting k=2 takes 8 assignments
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as caught:
             exists_k_coloring(g, 2, budget=SolverBudget(max_assignments=2))
+        assert caught.value.stage == "k=2"
+        assert caught.value.stats == {"assignments": 3}
 
     def test_one_vertex_needs_no_colors(self):
         assert exists_k_coloring(Graph(1, (0,)), 2) == EdgeColoring(0, {})
